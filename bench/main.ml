@@ -12,7 +12,6 @@
      dune exec bench/main.exe -- --trace trace.json fig5     # Perfetto trace
      dune exec bench/main.exe -- --xl --json BENCH_cover_xl.json
                                               # XL sweep (|Sigma| to 100k)
-     dune exec bench/main.exe -- --xl --ab-max 50000         # A/B up to 50k
      dune exec bench/main.exe -- --serve-qps --json BENCH_serve.json
                                               # resident-service throughput
 
@@ -25,8 +24,10 @@
      table2    decision procedures per Table 2 cell (FD propagation)
      ablation  RBR vs closure baseline; MinCover optimisations
      xl        runtime + cover size vs |Sigma| up to 100k (--xl), with
-               per-point GC stats and an interleaved packed-vs-reference
-               kernel A/B (hard-fails on any cover mismatch) *)
+               per-point GC stats
+
+   Every fig5-8 and XL point of --json carries digest40/digest50, the
+   byte-level cover digests scripts/check_cover_drift.py pins. *)
 
 open Core
 open Relational
@@ -58,9 +59,9 @@ let figure_stats : (string * Obs.snapshot) list ref = ref []
 let grand_stats = ref Obs.empty_snapshot
 
 let time f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Obs.now () in
   let r = f () in
-  (Unix.gettimeofday () -. t0, r)
+  (Obs.now () -. t0, r)
 
 let mean xs = List.fold_left ( +. ) 0. xs /. float_of_int (List.length xs)
 
@@ -74,7 +75,17 @@ type point = {
   runtime : float;
   cover : float;
   empty_frac : float;
+  digest : string option;
+      (** fig5-8 and XL only: see [covers_digest] *)
 }
+
+(* The drift guard's byte-level signal: each seed's cover, sorted and
+   digested, then the per-seed digests digested in seed order.  Cover
+   sizes alone cannot see a same-size swap of one CFD for another. *)
+let covers_digest covers =
+  P.Memo.digest_string
+    (String.concat ""
+       (List.map (fun c -> P.Memo.digest_cfds (List.sort C.compare c)) covers))
 
 let run_cover ~seed ~sigma_n ~var_pct ~y ~f ~ec =
   let rng = Workload.Rng.make seed in
@@ -84,7 +95,7 @@ let run_cover ~seed ~sigma_n ~var_pct ~y ~f ~ec =
   in
   let view = Workload.View_gen.generate rng ~schema ~y ~f ~ec in
   let t, r = time (fun () -> P.Propcover.cover view sigma) in
-  (t, List.length r.P.Propcover.cover, r.P.Propcover.always_empty)
+  (t, r.P.Propcover.cover, r.P.Propcover.always_empty)
 
 let sweep_point ~sigma_n ~var_pct ~y ~f ~ec =
   let runs =
@@ -94,15 +105,16 @@ let sweep_point ~sigma_n ~var_pct ~y ~f ~ec =
   in
   {
     runtime = mean (List.map (fun (t, _, _) -> t) runs);
-    cover = imean (List.map (fun (_, c, _) -> c) runs);
+    cover = imean (List.map (fun (_, c, _) -> List.length c) runs);
     empty_frac = mean (List.map (fun (_, _, e) -> if e then 1. else 0.) runs);
+    digest = Some (covers_digest (List.map (fun (_, c, _) -> c) runs));
   }
 
 (* Figure rows captured for --json output: (key, xlabel, rows); each row
    carries the point's observability snapshot when --stats is on. *)
 (* Each row carries an optional raw-JSON tail ([extras]) appended to its
-   object in --json output: the XL sweep embeds per-point GC stats and the
-   interleaved A/B comparison there; ordinary figures leave it empty. *)
+   object in --json output: the XL sweep embeds per-point GC stats there;
+   ordinary figures leave it empty. *)
 let json_figures :
     (string
     * string
@@ -176,10 +188,15 @@ let write_json path =
         (fun j (x, p40, p50, stats, extras) ->
           pr
             "%s\n        {\"x\": %d, \"time40_s\": %.6f, \"time50_s\": %.6f, \
-             \"cover40\": %.1f, \"cover50\": %.1f, \"empty_pct\": %.1f%s%s}"
+             \"cover40\": %.1f, \"cover50\": %.1f, \"empty_pct\": %.1f%s%s%s}"
             (if j = 0 then "" else ",")
             x p40.runtime p50.runtime p40.cover p50.cover
             (50. *. (p40.empty_frac +. p50.empty_frac))
+            (match p40.digest, p50.digest with
+             | Some d40, Some d50 ->
+               Printf.sprintf ", \"digest40\": \"%s\", \"digest50\": \"%s\""
+                 d40 d50
+             | _ -> "")
             (match stats with
              | Some s -> Printf.sprintf ", \"stats\": %s" (Obs.to_json s)
              | None -> "")
@@ -244,11 +261,10 @@ let fig8 () =
 
    - Density 400/relation (25 CFDs per attribute) is the
      implication-bound regime -- the chase kernel dominates the
-     pipeline, which is what the packed-vs-reference A/B measures.
-     Much below (fig. 5's 200/relation) the two kernels tie on
-     workload-generation noise; much above, the cover and resolvent
-     sets blow up super-quadratically (500/relation at arity 10-20:
-     minutes per 10 relations).
+     pipeline.  Much below (fig. 5's 200/relation) workload generation
+     dominates instead; much above, the cover and resolvent sets blow
+     up super-quadratically (500/relation at arity 10-20: minutes per
+     10 relations).
    - Arity is pinned at 16, and CFDs are dealt to relations in exact
      equal counts rather than by uniform random pick.  Both tails bite
      otherwise: a relation drawing low arity concentrates the same CFDs
@@ -260,22 +276,17 @@ let fig8 () =
    Even with those knobs pinned, hardness is heavy-tailed in the random
    instance: for a given (|Sigma|, var%) cell most seeds yield minutes-long
    or worse runs dominated by one relation's MinCover reduction cascade,
-   or sub-second runs where the kernels tie on workload overhead -- and a
-   few land in the measurable middle.  The published sweep therefore pins
-   a per-point seed base (below), chosen by scanning so that every cell of
-   the fixed-seed sweep terminates in seconds-to-tens-of-seconds and the
-   20k var50 cell sits in the implication-bound band where the kernel A/B
-   is meaningful.  The instances are fully reproducible from the seeds in
-   the JSON; this is instance selection for a terminating benchmark, not
-   cherry-picking a trend (per-cell speedups are published as measured,
-   ties included).
+   or sub-second runs dominated by workload overhead -- and a few land in
+   the measurable middle.  The published sweep therefore pins a per-point
+   seed base (below), chosen by scanning so that every cell of the
+   fixed-seed sweep terminates in seconds-to-tens-of-seconds and the 20k
+   var50 cell sits in the implication-bound band.  The instances are
+   fully reproducible from the seeds in the JSON; this is instance
+   selection for a terminating benchmark, not cherry-picking a trend.
 
-   Every point reports GC deltas (the packed kernel's zero-allocation
-   contract at scale), and points up to --ab-max also run the frozen
-   PR 5 reference kernel interleaved on the same seeds: covers must
-   match exactly, or the sweep aborts.  *)
-
-let ab_max = ref 20_000
+   Every point reports GC deltas (the kernel's zero-allocation contract
+   at scale) and the cover digests the drift guard compares against
+   BENCH_cover_xl.json. *)
 
 (* Per-point seed bases (see the instance-selection note above); seed s of
    a cell is [base + 7*s], mirroring the fig. 5 convention's stride. *)
@@ -295,7 +306,7 @@ type xl_run = {
   xr_major : int;
 }
 
-let run_cover_xl ~seed ~sigma_n ~var_pct ~kernel =
+let run_cover_xl ~seed ~sigma_n ~var_pct =
   let rng = Workload.Rng.make seed in
   let relations = max 10 (sigma_n / 400) in
   let schema =
@@ -314,9 +325,8 @@ let run_cover_xl ~seed ~sigma_n ~var_pct ~kernel =
          (Relational.Schema.relations schema))
   in
   let view = Workload.View_gen.generate rng ~schema ~y:25 ~f:10 ~ec:4 in
-  let options = { P.Propcover.default_options with P.Propcover.kernel } in
   let g0 = Gc.quick_stat () in
-  let t, r = time (fun () -> P.Propcover.cover ~options view sigma) in
+  let t, r = time (fun () -> P.Propcover.cover view sigma) in
   let g1 = Gc.quick_stat () in
   {
     xr_time = t;
@@ -326,54 +336,24 @@ let run_cover_xl ~seed ~sigma_n ~var_pct ~kernel =
     xr_major = g1.Gc.major_collections - g0.Gc.major_collections;
   }
 
-let covers_identical a b =
-  let norm l = List.sort C.compare (List.map C.canonical l) in
-  let a = norm a and b = norm b in
-  List.length a = List.length b
-  && List.for_all2 (fun x y -> C.compare x y = 0) a b
-
-(* One (x, var_pct) cell: packed runs on every seed; reference runs
-   interleaved right after each packed run when x <= --ab-max, and any
-   cover difference aborts the sweep (the engines must be observationally
-   identical, not just close). *)
+(* One (x, var_pct) cell: one run per seed. *)
 let xl_point ~sigma_n ~var_pct =
   let runs =
     List.init !seeds (fun s ->
-        let seed = xl_seed_base sigma_n + (7 * s) in
-        let packed = run_cover_xl ~seed ~sigma_n ~var_pct ~kernel:`Packed in
-        let reference =
-          if sigma_n <= !ab_max then begin
-            let r = run_cover_xl ~seed ~sigma_n ~var_pct ~kernel:`Reference in
-            if not (covers_identical packed.xr_cover r.xr_cover) then begin
-              Fmt.epr
-                "XL A/B cover mismatch at |Sigma|=%d var%%=%d seed %d: packed \
-                 %d CFDs vs reference %d CFDs@."
-                sigma_n var_pct seed
-                (List.length packed.xr_cover)
-                (List.length r.xr_cover);
-              exit 1
-            end;
-            Some r.xr_time
-          end
-          else None
-        in
-        (packed, reference))
+        run_cover_xl ~seed:(xl_seed_base sigma_n + (7 * s)) ~sigma_n ~var_pct)
   in
-  let packed = List.map fst runs in
   let point =
     {
-      runtime = mean (List.map (fun r -> r.xr_time) packed);
-      cover = imean (List.map (fun r -> List.length r.xr_cover) packed);
+      runtime = mean (List.map (fun r -> r.xr_time) runs);
+      cover = imean (List.map (fun r -> List.length r.xr_cover) runs);
       empty_frac =
-        mean (List.map (fun r -> if r.xr_empty then 1. else 0.) packed);
+        mean (List.map (fun r -> if r.xr_empty then 1. else 0.) runs);
+      digest = Some (covers_digest (List.map (fun r -> r.xr_cover) runs));
     }
   in
-  let gc_minor = mean (List.map (fun r -> r.xr_minor) packed) in
-  let gc_major = imean (List.map (fun r -> r.xr_major) packed) in
-  let ref_time =
-    match List.filter_map snd runs with [] -> None | ts -> Some (mean ts)
-  in
-  (point, gc_minor, gc_major, ref_time)
+  let gc_minor = mean (List.map (fun r -> r.xr_minor) runs) in
+  let gc_major = imean (List.map (fun r -> r.xr_major) runs) in
+  (point, gc_minor, gc_major)
 
 let xl () =
   let points =
@@ -382,16 +362,15 @@ let xl () =
     | None -> [ 10_000; 20_000; 50_000; 100_000 ]
   in
   Fmt.pr "@.== XL sweep: |Sigma| to 100k, schema scaled (|Sigma|/400 \
-          relations of arity 16), A/B vs reference kernel to %d ==@."
-    !ab_max;
-  Fmt.pr "%-8s %12s %12s %10s %10s %7s %10s %10s@." "|Sigma|" "time40(s)"
-    "time50(s)" "cover40" "cover50" "empty%" "speedup40" "speedup50";
+          relations of arity 16) ==@.";
+  Fmt.pr "%-8s %12s %12s %10s %10s %7s@." "|Sigma|" "time40(s)"
+    "time50(s)" "cover40" "cover50" "empty%";
   let rows =
     List.map
       (fun x ->
         if !stats_on || !trace_path <> None then Obs.reset ();
-        let p40, minor40, major40, ref40 = xl_point ~sigma_n:x ~var_pct:40 in
-        let p50, minor50, major50, ref50 = xl_point ~sigma_n:x ~var_pct:50 in
+        let p40, minor40, major40 = xl_point ~sigma_n:x ~var_pct:40 in
+        let p50, minor50, major50 = xl_point ~sigma_n:x ~var_pct:50 in
         (match !trace_path with
          | Some base ->
            Obs.write_trace (Printf.sprintf "%s.xl.x%d.json" base x);
@@ -405,34 +384,14 @@ let xl () =
           end
           else None
         in
-        let speedup r p = match r with
-          | Some rt -> Printf.sprintf "%.2fx" (rt /. p.runtime)
-          | None -> "-"
-        in
-        Fmt.pr "%-8d %12.3f %12.3f %10.1f %10.1f %7.0f %10s %10s@." x
+        Fmt.pr "%-8d %12.3f %12.3f %10.1f %10.1f %7.0f@." x
           p40.runtime p50.runtime p40.cover p50.cover
-          (50. *. (p40.empty_frac +. p50.empty_frac))
-          (speedup ref40 p40) (speedup ref50 p50);
-        if x > !ab_max then
-          Fmt.pr
-            "         (reference A/B skipped at |Sigma|=%d > --ab-max %d; \
-             packed-only timings)@."
-            x !ab_max;
-        let ab =
-          match ref40, ref50 with
-          | Some r40, Some r50 ->
-            Printf.sprintf
-              ", \"ab\": {\"ref_time40_s\": %.6f, \"ref_time50_s\": %.6f, \
-               \"speedup40\": %.3f, \"speedup50\": %.3f, \
-               \"covers_match\": true}"
-              r40 r50 (r40 /. p40.runtime) (r50 /. p50.runtime)
-          | _ -> ""
-        in
+          (50. *. (p40.empty_frac +. p50.empty_frac));
         let extras =
           Printf.sprintf
             ", \"gc\": {\"minor_words40\": %.0f, \"major_collections40\": \
-             %.1f, \"minor_words50\": %.0f, \"major_collections50\": %.1f}%s"
-            minor40 major40 minor50 major50 ab
+             %.1f, \"minor_words50\": %.0f, \"major_collections50\": %.1f}"
+            minor40 major40 minor50 major50
         in
         (x, p40, p50, stats, extras))
       points
@@ -537,6 +496,7 @@ let fleet_point ~nviews ~var_pct =
           (List.map
              (fun r -> float_of_int r.fl_empty /. float_of_int nviews)
              runs);
+      digest = None;
     }
   in
   let independent = mean (List.map (fun r -> r.fl_independent) runs) in
@@ -848,6 +808,7 @@ let serve_point ~domains ~var_pct =
       runtime = float_of_int !serve_requests /. mean (List.map (fun r -> r.sv_qps) runs);
       cover = imean (List.map (fun r -> r.sv_cover) runs);
       empty_frac = 0.;
+      digest = None;
     },
     mean (List.map (fun r -> r.sv_qps) runs),
     imean (List.map (fun r -> r.sv_deltas) runs),
@@ -1418,9 +1379,6 @@ let () =
       parse rest acc
     | "--xl" :: rest ->
       want_xl := true;
-      parse rest acc
-    | "--ab-max" :: n :: rest ->
-      ab_max := int_of_string n;
       parse rest acc
     | "--fleet" :: rest ->
       want_fleet := true;

@@ -621,7 +621,7 @@ let serve once tcp_port domains replicas max_line stats stats_json
           Fmt.epr "# cfdprop serve: listening on 127.0.0.1:%d@." p)
         ();
       0
-    | None -> Serve.Server.run_channels ~once server stdin stdout
+    | None -> Serve.Server.run_channels server stdin stdout
   in
   Atomic.set metrics_stop true;
   Option.iter Stdlib.Domain.join metrics_domain;

@@ -14,8 +14,6 @@ let c_mask_skips = Obs.counter "fast_impl.mask_prune_skips"
 let c_arena_resets = Obs.counter "fast_impl.arena_resets"
 let c_wide_compiles = Obs.counter "fast_impl.wide_compiles"
 
-type engine = [ `Packed | `Reference ]
-
 exception Conflict
 
 (* --- packed-bitset layout ------------------------------------------------ *)
@@ -107,7 +105,7 @@ let arena_create arity words =
    then [words] self-mask words.  The semi-naive watcher index is in CSR
    form: position [p]'s watching rules are
    [watch.(watch_off.(p) .. watch_off.(p+1) - 1)]. *)
-type packed = {
+type compiled = {
   (* Position resolver for AST-level queries ([implies] on a [Cfds.Cfd.t]);
      IR-compiled rule sets resolve positions through their {!Ir.space}
      instead and never call it. *)
@@ -131,10 +129,6 @@ type packed = {
   mutable autonomous : int list;
   arena : arena;
 }
-
-type compiled =
-  | Packed of packed
-  | Reference of Kernel_ref.compiled
 
 (* --- arena primitives ---------------------------------------------------- *)
 
@@ -233,7 +227,8 @@ let mark_class st n cell =
 
 (* Chase-time mutations: tally firings and mark changed classes.  A union
    of two classes already bound to the same constant changes nothing
-   observable and marks nothing (as in the reference kernel). *)
+   observable ([cells_equal] and Const checks were already true via the
+   constants) and marks nothing. *)
 let union_m st n i j =
   let ri = find st.parent i and rj = find st.parent j in
   if ri = rj then false
@@ -299,11 +294,11 @@ let step pk st n i row row' ch =
   else ch
 
 (* Apply rule [i]; returns whether the chase state changed.  The mask
-   pre-filter mirrors the reference kernel: a cross-row instantiation
-   needs every LHS position constrained ([pair] words), a single-row (t,t)
-   instantiation passes wildcards vacuously and only needs the Const
-   positions bound ([self] words) — and only constant-RHS rules have a
-   useful (t,t) form. *)
+   pre-filter tests the rule's bitmasks against [active]: a cross-row
+   instantiation needs every LHS position constrained ([pair] words), a
+   single-row (t,t) instantiation passes wildcards vacuously and only
+   needs the Const positions bound ([self] words) — and only constant-RHS
+   rules have a useful (t,t) form. *)
 let apply_rule pk two_rows i =
   let st = pk.arena in
   let n = pk.arity in
@@ -380,8 +375,12 @@ let publish st tracing =
 
 (* Semi-naive fixpoint over the caller-seeded arena: one pass over the
    autonomous rules, then a worklist of dirty positions re-applies only
-   the rules watching them (see the reference kernel for the marking
-   invariant).  The caller must have [arena_reset] and seeded the cells. *)
+   the rules watching them.  A position is dirty when some class with a
+   cell at it changed observably: a union of two const-free classes
+   creates new cross-class equalities only, while a class gaining a
+   constant can newly satisfy Const premises anywhere in it, so the whole
+   merged class is marked ([mark_class]).  The caller must have
+   [arena_reset] and seeded the cells. *)
 let chase pk mask fired two_rows =
   let st = pk.arena in
   let n = pk.arity in
@@ -533,14 +532,10 @@ let proto_of_ast pos c =
         rhs_v = pat_value (snd c.C.rhs);
       }
 
-let compile ?(engine = `Packed) schema sigma =
-  match engine with
-  | `Reference -> Reference (Kernel_ref.compile schema sigma)
-  | `Packed ->
-    let pos a = Schema.attr_index schema a in
-    Packed
-      (assemble ~pos_of_name:pos ~arity:(Schema.arity schema)
-         (Array.of_list (List.map (proto_of_ast pos) sigma)))
+let compile schema sigma =
+  let pos a = Schema.attr_index schema a in
+  assemble ~pos_of_name:pos ~arity:(Schema.arity schema)
+    (Array.of_list (List.map (proto_of_ast pos) sigma))
 
 (* --- the IR front-end ---------------------------------------------------- *)
 
@@ -563,15 +558,11 @@ let proto_of_ir space ic =
 let no_names _ =
   invalid_arg "Fast_impl: IR-compiled rule set has no attribute names"
 
-let compile_ir ?(engine = `Packed) space isigma =
-  match engine with
-  | `Reference -> Reference (Kernel_ref.compile_ir space isigma)
-  | `Packed ->
-    Packed
-      (assemble ~pos_of_name:no_names ~arity:(Ir.arity space)
-         (Array.of_list (List.map (proto_of_ir space) isigma)))
+let compile_ir space isigma =
+  assemble ~pos_of_name:no_names ~arity:(Ir.arity space)
+    (Array.of_list (List.map (proto_of_ir space) isigma))
 
-let set_rule_packed pk space i ic =
+let set_rule_ir pk space i ic =
   let words = pk.words in
   let off = pk.lhs_off.(i) in
   let old_len = pk.lhs_len.(i) in
@@ -611,23 +602,13 @@ let set_rule_packed pk space i ic =
     if !all_wild && not (List.mem i pk.autonomous) then
       pk.autonomous <- i :: pk.autonomous
 
-let set_rule_ir compiled space i ic =
-  match compiled with
-  | Packed pk -> set_rule_packed pk space i ic
-  | Reference r -> Kernel_ref.set_rule_ir r space i ic
+let num_rules pk = pk.nrules
 
-let num_rules = function
-  | Packed pk -> pk.nrules
-  | Reference r -> Kernel_ref.num_rules r
-
-(* Rule masks: a bitset over the rules enabling leave-one-out pruning
-   without recompiling.  The representation (one byte per rule) is shared
-   with {!Kernel_ref}, so one mask drives either engine. *)
+(* Rule masks: a bitset over the rules (one byte per rule) enabling
+   leave-one-out pruning without recompiling. *)
 type mask = Bytes.t
 
-let full_mask = function
-  | Packed pk -> Bytes.make pk.nrules '\001'
-  | Reference r -> Kernel_ref.full_mask r
+let full_mask pk = Bytes.make pk.nrules '\001'
 
 let mask_clear m i = Bytes.set m i '\000'
 let mask_set m i = Bytes.set m i '\001'
@@ -696,7 +677,7 @@ let implies_standard_pos pk mask fired qlen rp rhs_v =
        | exception Conflict -> true
      end)
 
-let implies_packed pk mask fired phi =
+let implies ?mask ?fired pk phi =
   C.is_trivial phi
   ||
   let pos = pk.pos_of_name in
@@ -718,7 +699,7 @@ let implies_packed pk mask fired phi =
       (pat_value (snd phi.C.rhs))
   end
 
-let implies_ir_packed pk mask fired space iphi =
+let implies_ir ?mask ?fired space pk iphi =
   Ir.is_trivial iphi
   ||
   if Ir.is_attr_eq iphi then
@@ -739,13 +720,3 @@ let implies_ir_packed pk mask fired space iphi =
       (ipos space (fst iphi.Ir.rhs))
       (pat_value (snd iphi.Ir.rhs))
   end
-
-let implies ?mask ?fired compiled phi =
-  match compiled with
-  | Packed pk -> implies_packed pk mask fired phi
-  | Reference r -> Kernel_ref.implies ?mask ?fired r phi
-
-let implies_ir ?mask ?fired space compiled iphi =
-  match compiled with
-  | Packed pk -> implies_ir_packed pk mask fired space iphi
-  | Reference r -> Kernel_ref.implies_ir ?mask ?fired space r iphi

@@ -15,12 +15,13 @@
     checks — [implies ~mask compiled phi] behaves exactly like recompiling
     the unmasked subset, without the O(|Σ|) recompile.
 
-    Since the packed rewrite, the default engine is built for raw speed:
+    This is the pipeline's only implication kernel — {!Implication.implies}
+    and every MinCover site run it — and it is built for raw speed:
 
     - {b flat bitsets} — LHS applicability masks live in packed 32-bit
       words ([⌈arity / 32⌉] per rule), so mask pruning works at {e every}
-      arity instead of silently switching off past [Sys.int_size - 2]
-      attributes as the PR 5 int masks did;
+      arity (a single-int mask would have to give up past
+      [Sys.int_size - 2] attributes);
     - {b struct-of-arrays rules} — premise rows are flat position/value
       pools indexed by offset, not per-rule boxed arrays;
     - {b a per-compiled arena} — union-find, dirty sets, the watcher
@@ -28,17 +29,15 @@
       reset in O(cells) per chase, so the steady-state query loop performs
       {e zero} minor-heap allocation (asserted by [test/test_kernel.ml]).
 
+    Its decisions are checked against the tableau chase of {!Propagate}
+    (over the identity view) on random narrow and wide schemas, plain and
+    leave-one-out masked, by [test/test_kernel.ml].
+
     A [compiled] value owns mutable scratch and must be confined to one
     domain at a time; the partitioned prune compiles per chunk on its
     worker, so this holds throughout the pipeline. *)
 
 open Relational
-
-(** Which chase kernel to compile for.  [`Packed] (the default) is the
-    flat-bitset arena engine; [`Reference] is the frozen PR 5 kernel
-    ({!Kernel_ref}), kept as a differential oracle and A/B baseline.
-    Both decide exactly the same implication relation. *)
-type engine = [ `Packed | `Reference ]
 
 type compiled
 
@@ -46,13 +45,13 @@ type compiled
     positions of [schema].  Rule [i] of the result corresponds to the [i]-th
     element of [sigma] (for use with masks).  Raises on unknown
     attributes. *)
-val compile : ?engine:engine -> Schema.relation -> Cfds.Cfd.t list -> compiled
+val compile : Schema.relation -> Cfds.Cfd.t list -> compiled
 
 (** [compile_ir space isigma] compiles interned CFDs against an {!Ir.space}
     (built once per MinCover site per context) instead of a schema.  The
     result only answers {!implies_ir} queries; feeding it to {!implies}
     raises.  Raises on attributes outside the space. *)
-val compile_ir : ?engine:engine -> Ir.space -> Ir.t list -> compiled
+val compile_ir : Ir.space -> Ir.t list -> compiled
 
 (** [set_rule_ir compiled space i ic] replaces rule [i] in place.
     Precondition: [ic]'s premise positions are a subset of the old rule
@@ -66,9 +65,7 @@ val set_rule_ir : compiled -> Ir.space -> int -> Ir.t -> unit
 val num_rules : compiled -> int
 
 (** A mutable bitset over the compiled rules: byte [i] nonzero iff rule
-    [i] is enabled.  Cleared rules are invisible to [implies].  The
-    representation is shared with {!Kernel_ref}, so one mask drives
-    either engine. *)
+    [i] is enabled.  Cleared rules are invisible to [implies]. *)
 type mask = Bytes.t
 
 (** A fresh mask with every rule enabled. *)
@@ -96,7 +93,8 @@ val implies : ?mask:mask -> ?fired:Bytes.t -> compiled -> Cfds.Cfd.t -> bool
 
 (** [implies_ir ?mask ?fired space compiled iphi] — the same decision over
     interned CFDs; [space] must be the space [compiled] was built with.
-    On the packed engine the steady state of this call allocates nothing
-    on the minor heap. *)
+    The steady state of this call allocates nothing on the minor heap
+    (pass a preallocated [?mask:opt]: [~mask:m] boxes a fresh option per
+    call). *)
 val implies_ir :
   ?mask:mask -> ?fired:Bytes.t -> Ir.space -> compiled -> Ir.t -> bool

@@ -36,14 +36,12 @@ type t = {
 }
 
 (* The namespace pins everything a cached artefact depends on besides its
-   own key: the source schema (names, attribute names, domain kinds), Σ
-   itself, and the implication kernel. *)
+   own key: the source schema (names, attribute names, domain kinds) and
+   Σ itself. *)
 let schema_digest (db : Schema.db) = Memo.schema_string db
 
-let namespace (db : Schema.db) sigma (kernel : Fast_impl.engine) =
-  let tag = match kernel with `Packed -> "P" | `Reference -> "R" in
-  Memo.digest_string (schema_digest db ^ "\x1e" ^ tag ^ "\x1e")
-  ^ Memo.digest_cfds sigma
+let namespace (db : Schema.db) sigma =
+  Memo.digest_string (schema_digest db) ^ Memo.digest_cfds sigma
 
 (* Map a cover computed on the canonical view back onto the view's own
    attribute names and relation name.  The inverse renaming is a bijection
@@ -71,7 +69,7 @@ let run ?(options = default_options) views sigma =
         if not (String.equal (schema_digest v.Spc.source) sd) then
           invalid_arg "Fleet.run: views must share one source schema")
       rest;
-    let ns = namespace v0.Spc.source sigma options.cover.Propcover.kernel in
+    let ns = namespace v0.Spc.source sigma in
     (* Provenance derivations are per-view; no sharing while recording. *)
     let share = not (Provenance.enabled ()) in
     let cover_options =

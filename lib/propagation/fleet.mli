@@ -57,7 +57,7 @@ type t = {
   results : view_result list;  (** in input view order *)
   classes : int;  (** distinct canonical classes seen *)
   memo : Memo.t;
-  ns : string;  (** key namespace: digest of schema + Σ + kernel engine *)
+  ns : string;  (** key namespace: digest of schema + Σ *)
 }
 
 (** [run views sigma] propagates [sigma] through every view.  All views

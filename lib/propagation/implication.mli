@@ -1,11 +1,12 @@
-(** CFD implication [Σ |= φ] (Section 4.1), decided as propagation through
-    the identity view — implication is exactly the special case of the
-    propagation problem where the view is the identity mapping
+(** CFD implication [Σ |= φ] (Section 4.1) — exactly the special case of
+    the propagation problem where the view is the identity mapping
     (Corollary 3.6's reduction, read backwards).
 
-    Without finite-domain attributes the decision is PTIME (a two-tuple
-    chase); in the general setting it is coNP-complete and handled by
-    instantiation. *)
+    Without finite-domain attributes the decision is PTIME: {!implies}
+    runs the packed two-tuple chase kernel of {!Fast_impl}.  In the
+    general setting it is coNP-complete: {!implies_general} decides it as
+    propagation through {!identity_view} with {!Propagate}, instantiating
+    finite-domain variables. *)
 
 open Relational
 

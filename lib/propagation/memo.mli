@@ -3,8 +3,8 @@
     fill from every domain of a {!Parallel.Pool} concurrently.
 
     Keys are built by the callers ({!Fleet}, {!Mincover}) from a
-    {e namespace} digest (source schema + Σ + kernel engine, so a memo can
-    even be reused across fleets without confusion) plus a canonical
+    {e namespace} digest (source schema + Σ, so a memo can even be reused
+    across fleets without confusion) plus a canonical
     payload-specific part — e.g. the {!Chase.Canon.key} of a canonicalised
     view, or a source relation name for a shared Σ-slice.  Values are
     plain ASTs (never interned {!Ir.t}): each view's cover call owns its

@@ -48,7 +48,7 @@ let reduce_lhs ?rules compiled phi =
     in
     go phi []
 
-let minimal_cover ?engine schema sigma =
+let minimal_cover schema sigma =
   Obs.with_span s_cover @@ fun () ->
   (* CFDs are interpreted over [schema], whatever relation name they carry
      (RBR's pseudo body relation re-homes them). *)
@@ -74,7 +74,7 @@ let minimal_cover ?engine schema sigma =
      stronger, so replacements preserve equivalence — and therefore testing
      against the original (equivalent) set stays correct, which lets us
      compile it once. *)
-  let compiled = Fast_impl.compile ?engine schema sigma in
+  let compiled = Fast_impl.compile schema sigma in
   let rules =
     if Provenance.enabled () then Some (Array.of_list sigma) else None
   in
@@ -85,7 +85,7 @@ let minimal_cover ?engine schema sigma =
      equivalent to recompiling Σ ∖ {φ} — rules already found redundant stay
      cleared, exactly like the old [kept @ rest] recompile. *)
   let arr = Array.of_list sigma in
-  let compiled = Fast_impl.compile ?engine schema sigma in
+  let compiled = Fast_impl.compile schema sigma in
   let mask = Fast_impl.full_mask compiled in
   let redundant = Array.make (Array.length arr) false in
   Array.iteri
@@ -100,7 +100,7 @@ let minimal_cover ?engine schema sigma =
     arr;
   List.filteri (fun i _ -> not redundant.(i)) sigma
 
-let minimal_cover_db ?engine db sigma =
+let minimal_cover_db db sigma =
   let groups = Hashtbl.create 8 in
   List.iter
     (fun c ->
@@ -110,7 +110,7 @@ let minimal_cover_db ?engine db sigma =
   Schema.relations db
   |> List.concat_map (fun rel ->
          match Hashtbl.find_opt groups (Schema.relation_name rel) with
-         | Some g -> minimal_cover ?engine rel (List.rev g)
+         | Some g -> minimal_cover rel (List.rev g)
          | None -> [])
 
 let split_chunks ~chunk sigma =
@@ -122,12 +122,12 @@ let split_chunks ~chunk sigma =
   in
   split [] [] 0 sigma
 
-let prune_partitioned ?pool ?engine schema ~chunk sigma =
+let prune_partitioned ?pool schema ~chunk sigma =
   if chunk <= 0 then invalid_arg "Mincover.prune_partitioned: chunk <= 0";
   let chunks = split_chunks ~chunk sigma in
   (* Chunks are independent; [Parallel.Pool.map] preserves their order, so
      the output is identical to the sequential run. *)
-  List.concat (Parallel.Pool.map ?pool (minimal_cover ?engine schema) chunks)
+  List.concat (Parallel.Pool.map ?pool (minimal_cover schema) chunks)
 
 (* --- the IR path --------------------------------------------------------- *)
 
@@ -177,7 +177,7 @@ let reduce_lhs_ir ctx space compiled rules i iphi =
     in
     go iphi []
 
-let minimal_cover_ir ?engine ctx space isigma =
+let minimal_cover_ir ctx space isigma =
   Obs.with_span s_cover @@ fun () ->
   let isigma =
     List.map
@@ -190,7 +190,7 @@ let minimal_cover_ir ?engine ctx space isigma =
   let isigma = List.filter (fun ic -> not (Ir.is_trivial ic)) isigma in
   let isigma = List.sort_uniq Ir.compare isigma in
   let arr = Array.of_list isigma in
-  let compiled = Fast_impl.compile_ir ?engine space isigma in
+  let compiled = Fast_impl.compile_ir space isigma in
   (* LHS reduction against the evolving (equivalent) rule set. *)
   Array.iteri
     (fun i iphi ->
@@ -245,7 +245,7 @@ let slice_digest_ir ctx g =
 let slice_key ~ns rel g =
   "slice:" ^ ns ^ ":" ^ rel ^ ":" ^ Memo.digest_cfds (List.map C.canonical g)
 
-let minimal_cover_db_ir ?memo ?engine ctx db isigma =
+let minimal_cover_db_ir ?memo ctx db isigma =
   let groups = Hashtbl.create 8 in
   List.iter
     (fun ic ->
@@ -254,7 +254,7 @@ let minimal_cover_db_ir ?memo ?engine ctx db isigma =
     isigma;
   (* One slice per source relation.  With a memo, the per-relation result
      is cached as ASTs under the caller's namespace (which digests the
-     schema and the engine) plus a digest of the relation's own Σ_R: a
+     schema) plus a digest of the relation's own Σ_R: a
      fleet view re-interns the shared slice instead of re-minimising it,
      and a resident session whose Σ-delta left Σ_R untouched hits across
      epochs.  Re-interning a cached slice in a fresh context reproduces
@@ -262,7 +262,7 @@ let minimal_cover_db_ir ?memo ?engine ctx db isigma =
      all fixed by the interning pass that precedes line 1. *)
   let cover_group rel g =
     let direct () =
-      minimal_cover_ir ?engine ctx (Ir.space_of_schema ctx rel) g
+      minimal_cover_ir ctx (Ir.space_of_schema ctx rel) g
     in
     match memo with
     | None -> direct ()
@@ -284,7 +284,7 @@ let minimal_cover_db_ir ?memo ?engine ctx db isigma =
          | Some g -> cover_group rel (List.rev g)
          | None -> [])
 
-let prune_partitioned_ir ?pool ?engine ctx space ~chunk isigma =
+let prune_partitioned_ir ?pool ctx space ~chunk isigma =
   if chunk <= 0 then invalid_arg "Mincover.prune_partitioned_ir: chunk <= 0";
   let chunks = split_chunks ~chunk isigma in
-  List.concat (Parallel.Pool.map ?pool (minimal_cover_ir ?engine ctx space) chunks)
+  List.concat (Parallel.Pool.map ?pool (minimal_cover_ir ctx space) chunks)

@@ -6,7 +6,8 @@
     The redundancy-pruning loop compiles the rule set once and tests each
     candidate with a {!Fast_impl.mask} (leave-one-out bitset) instead of
     recompiling Σ ∖ {φ} per candidate — the former O(|Σ|²) compile work in
-    the hot path of [PropCFD_SPC]'s line 1 and line 13. *)
+    the hot path of [PropCFD_SPC]'s line 1 and line 13.  Every function
+    here decides implication with that one kernel. *)
 
 open Relational
 
@@ -17,21 +18,12 @@ open Relational
       [Σ |= (X∖C → A, (tp\[X∖C\] ‖ tp\[A\]))] are removed;
     - CFDs implied by the rest are removed.
 
-    All CFDs must be over [schema] (same relation).
-
-    [?engine] selects the implication kernel (packed by default; the
-    frozen {!Kernel_ref} for differential runs) — the cover is identical
-    either way, by chase confluence. *)
-val minimal_cover :
-  ?engine:Fast_impl.engine ->
-  Schema.relation ->
-  Cfds.Cfd.t list ->
-  Cfds.Cfd.t list
+    All CFDs must be over [schema] (same relation). *)
+val minimal_cover : Schema.relation -> Cfds.Cfd.t list -> Cfds.Cfd.t list
 
 (** [minimal_cover_db db sigma] groups [sigma] by relation and covers each
     group independently (CFDs on different relations never interact). *)
-val minimal_cover_db :
-  ?engine:Fast_impl.engine -> Schema.db -> Cfds.Cfd.t list -> Cfds.Cfd.t list
+val minimal_cover_db : Schema.db -> Cfds.Cfd.t list -> Cfds.Cfd.t list
 
 (** [prune_partitioned schema ~chunk sigma] is the optimisation of
     Section 4.3: partition [sigma] into chunks of size [chunk] and minimise
@@ -41,7 +33,6 @@ val minimal_cover_db :
     the sequential run (order-preserving map). *)
 val prune_partitioned :
   ?pool:Parallel.Pool.t ->
-  ?engine:Fast_impl.engine ->
   Schema.relation ->
   chunk:int ->
   Cfds.Cfd.t list ->
@@ -54,8 +45,7 @@ val prune_partitioned :
     relation re-homing (the pipeline interior keeps one uniform relation
     per site).  Never interns, so it is safe on pool workers with a
     prebuilt [space]. *)
-val minimal_cover_ir :
-  ?engine:Fast_impl.engine -> Ir.ctx -> Ir.space -> Ir.t list -> Ir.t list
+val minimal_cover_ir : Ir.ctx -> Ir.space -> Ir.t list -> Ir.t list
 
 (** [slice_key ~ns rel sigma_r] is the memo key {!minimal_cover_db_ir}
     files relation [rel]'s slice under when its per-relation input is
@@ -76,11 +66,10 @@ val slice_digest_ir : Ir.ctx -> Ir.t list -> string
     cover is cached (as ASTs, re-interned on hit) under
     ["slice:<ns>:<relation>:<digest Σ_R>"] — [ns] must digest everything
     the slice depends on besides the relation name and its own CFDs (the
-    schema, the engine, the id-assignment discipline); both the fleet
-    driver's namespace and the serve sessions' satisfy that. *)
+    schema); both the fleet driver's namespace and the serve sessions'
+    satisfy that. *)
 val minimal_cover_db_ir :
   ?memo:Memo.t * string ->
-  ?engine:Fast_impl.engine ->
   Ir.ctx ->
   Schema.db ->
   Ir.t list ->
@@ -90,7 +79,6 @@ val minimal_cover_db_ir :
     on the IR path. *)
 val prune_partitioned_ir :
   ?pool:Parallel.Pool.t ->
-  ?engine:Fast_impl.engine ->
   Ir.ctx ->
   Ir.space ->
   chunk:int ->

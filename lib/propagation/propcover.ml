@@ -20,9 +20,7 @@ type options = {
   skip_initial_mincover : bool;
   rbr_order : [ `Min_degree | `Given ];
   pool : Parallel.Pool.t option;
-  kernel : Fast_impl.engine;
   memo : (Memo.t * string) option;
-  stable_ids : bool;
   memo_results : bool;
   rbr_delta : Rbr.delta option;
 }
@@ -36,9 +34,7 @@ let default_options =
     skip_initial_mincover = false;
     rbr_order = `Min_degree;
     pool = None;
-    kernel = `Packed;
     memo = None;
-    stable_ids = false;
     memo_results = false;
     rbr_delta = None;
   }
@@ -138,14 +134,15 @@ let normalise_const_form_ir ic =
     | _ -> ic
   else ic
 
-(* With [stable_ids], every attribute name the run can touch is interned
-   up front in (schema, view)-declaration order, before Σ is seen.  The
-   interner's id assignment — and with it every id-order tie-break in
+(* Every attribute name the run can touch is interned up front in
+   (schema, view)-declaration order, before Σ is seen.  The interner's id
+   assignment — and with it every id-order tie-break in
    MinCover/ComputeEQ/RBR — then depends only on the (schema, view) pair,
-   not on Σ: two runs on different Σ make identical pipeline decisions on
-   identical name-level inputs.  This is what lets a resident session
-   prove a Σ-delta left the cover byte-identical (Tier A/B of the serve
-   delta planner) and lets slice-cache entries be reused across epochs. *)
+   not on Σ or its order: two runs on different Σ make identical pipeline
+   decisions on identical name-level inputs.  This is what lets a
+   resident session prove a Σ-delta left the cover byte-identical (Tier
+   A/B of the serve delta planner) and lets slice-cache entries be reused
+   across epochs and views. *)
 let intern_universe ctx (v : Spc.t) =
   List.iter
     (fun rel ->
@@ -214,15 +211,13 @@ let instance_digest options (v : Spc.t) =
       Buffer.add_char b '\x1f')
     v.Spc.projection;
   Buffer.add_string b
-    (Printf.sprintf "\x1e%s;%s;%b;%s;%b;%s"
+    (Printf.sprintf "\x1e%s;%s;%b;%s"
        (match options.prune_chunk with None -> "-" | Some n -> string_of_int n)
        (match options.max_intermediate with
         | None -> "-"
         | Some n -> string_of_int n)
        options.skip_initial_mincover
-       (match options.rbr_order with `Min_degree -> "D" | `Given -> "G")
-       options.stable_ids
-       (match options.kernel with `Packed -> "P" | `Reference -> "R"));
+       (match options.rbr_order with `Min_degree -> "D" | `Given -> "G"));
   Memo.digest_string (Buffer.contents b)
 
 (* The pipeline interior runs entirely on the IR: one context per [cover]
@@ -232,7 +227,7 @@ let instance_digest options (v : Spc.t) =
    this down in the test suite. *)
 let compute_cover options (v : Spc.t) sigma =
   let ctx = Ir.create_ctx () in
-  if options.stable_ids then intern_universe ctx v;
+  intern_universe ctx v;
   (* The entry edge. *)
   let isigma = List.map (Ir.of_ast ctx) sigma in
   (* The given Σ are the leaves every derivation must bottom out in. *)
@@ -247,8 +242,7 @@ let compute_cover options (v : Spc.t) sigma =
          steps, so the shared-slice cache is bypassed while --why is on. *)
       let memo = if Provenance.enabled () then None else options.memo in
       Obs.with_span_traced s_initial_mincover (fun () ->
-          Mincover.minimal_cover_db_ir ?memo ~engine:options.kernel ctx
-            v.Spc.source isigma)
+          Mincover.minimal_cover_db_ir ?memo ctx v.Spc.source isigma)
     end
   in
   (* Lines 5-6 first (the renamed CFDs feed ComputeEQ's closure). *)
@@ -329,9 +323,9 @@ let compute_cover options (v : Spc.t) sigma =
     in
     let sigma_c, completeness =
       Obs.with_span_traced s_rbr (fun () ->
-          Rbr.reduce_ir ~ctx ?prune ?pool:options.pool ~engine:options.kernel
-            ?delta:options.rbr_delta ?max_size:options.max_intermediate
-            ~order:options.rbr_order sigma_v ~drop_ids)
+          Rbr.reduce_ir ~ctx ?prune ?pool:options.pool ?delta:options.rbr_delta
+            ?max_size:options.max_intermediate ~order:options.rbr_order
+            sigma_v ~drop_ids)
     in
     (* Line 12: Σd := EQ2CFD(EQ) plus the Rc constants. *)
     let sigma_d =
@@ -362,7 +356,7 @@ let compute_cover options (v : Spc.t) sigma =
     let vspace = Ir.space_of_schema ctx view_schema in
     let cover_ir =
       Obs.with_span_traced s_final_mincover (fun () ->
-          Mincover.minimal_cover_ir ~engine:options.kernel ctx vspace all)
+          Mincover.minimal_cover_ir ctx vspace all)
     in
     (* The exit edge. *)
     let cover = List.sort C.compare (List.map (Ir.to_ast ctx) cover_ir) in
@@ -471,7 +465,7 @@ let cover_spcu ?(options = default_options) (view : Spcu.t) sigma =
     in
     let schema = Spcu.view_schema view in
     {
-      cover = Mincover.minimal_cover ~engine:options.kernel schema certified;
+      cover = Mincover.minimal_cover schema certified;
       complete = List.for_all (fun (_, r) -> r.complete) branch_results;
       always_empty = false;
     }

@@ -8,7 +8,15 @@
     (⊥ short-circuits to the always-empty-view cover of Lemma 4.5) →
     renaming per product factor → representative substitution and key CFDs
     for the domain constraints (Lemmas 4.2/4.3) → [RBR] over the dropped
-    attributes → [EQ2CFD] → final [MinCover]. *)
+    attributes → [EQ2CFD] → final [MinCover].
+
+    Every run interns all (schema, view) attribute names in declaration
+    order before Σ is seen, so the IR's id assignment — and every
+    id-order tie-break in the pipeline — depends on the (schema, view)
+    pair alone, never on Σ or its order.  Covers are therefore
+    byte-identical under any permutation of Σ, and across Σ-deltas that
+    leave the name-level pipeline inputs unchanged; the serve layer's
+    resident sessions and the line-1 slice memo rely on this. *)
 
 open Relational
 
@@ -25,25 +33,12 @@ type options = {
   pool : Parallel.Pool.t option;
       (** domain pool for the partitioned pruning inside RBR; [None] (the
           default) keeps everything on the calling domain *)
-  kernel : Fast_impl.engine;
-      (** implication kernel for every MinCover in the pipeline:
-          [`Packed] (the default) or the frozen [`Reference] PR 5 engine —
-          covers are identical either way (the XL bench A/B asserts it) *)
   memo : (Memo.t * string) option;
       (** cross-view memo + key namespace for the fleet driver: line 1's
           per-relation MinCover(Σ) slices are cached/reused through it
           (see {!Mincover.minimal_cover_db_ir}).  [None] (the default)
           changes nothing; the memo is also bypassed while provenance
           recording is enabled so [--why] derivations stay complete *)
-  stable_ids : bool;
-      (** intern every (schema, view) attribute name up front, in
-          declaration order, so the IR's id assignment — and every
-          id-order tie-break in the pipeline — is independent of Σ.
-          Covers are equivalent either way, but only under [stable_ids]
-          are they {e byte-identical} across Σ-deltas that leave the
-          name-level pipeline inputs unchanged; the serve layer's
-          resident sessions rely on this.  Off by default (the historical
-          Σ-order id assignment is pinned by the bench baselines) *)
   memo_results : bool;
       (** with [memo] set, additionally cache the {e final result} under
           ["tail:<ns>:<instance digest>:<digest Σ>"] — a hit skips the
@@ -56,10 +51,9 @@ type options = {
           surviving resolvents and replay unchanged prune rounds.  Pure
           sub-computation caching — never changes the cover's bytes (so
           it is absent from the instance digest) — but sound only when
-          every sharing call uses [stable_ids] over the same
-          (schema, view) pair, as the resident sessions do.  Bypassed
-          while provenance records.  [None] (the default) derives
-          everything from scratch *)
+          every sharing call covers the same (schema, view) pair, as the
+          resident sessions do.  Bypassed while provenance records.
+          [None] (the default) derives everything from scratch *)
 }
 
 val default_options : options

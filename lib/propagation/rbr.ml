@@ -29,10 +29,11 @@ let mentions a cfd = List.mem a (C.attrs cfd)
 
    Keys hold {!Ir.t} values, whose attribute ids come from the owning
    context's interner: a store is only sound across calls that share one
-   id assignment — in practice, covers computed with [stable_ids] for one
-   (schema, view) pair.  The resident session satisfies this by
-   construction.  Provenance runs bypass the store entirely (resolvent
-   recording must see every derivation). *)
+   id assignment — in practice, covers computed for one (schema, view)
+   pair, whose contexts [Propcover] interns identically before Σ is
+   seen.  The resident session satisfies this by construction.
+   Provenance runs bypass the store entirely (resolvent recording must
+   see every derivation). *)
 
 type delta = {
   d_resolvents : (Ir.t * Ir.t * int, Ir.t option) Hashtbl.t;
@@ -272,7 +273,7 @@ let drop_indexed sigma a =
   Engine.drop_attr eng (Ir.intern ctx a);
   Engine.extract eng
 
-let reduce_ir ~ctx ?prune ?pool ?engine ?delta ?max_size
+let reduce_ir ~ctx ?prune ?pool ?delta ?max_size
     ?(order = `Min_degree) isigma ~drop_ids =
   (* Provenance needs to see every derivation happen for real; a seeded
      run would record only the cache misses.  Bypass the store. *)
@@ -307,13 +308,13 @@ let reduce_ir ~ctx ?prune ?pool ?engine ?delta ?max_size
       Obs.with_span s_prune (fun () ->
           let live = Engine.extract_ir eng in
           (* A prune round is a pure function of the (sorted) working set
-             under a stable-ids context, so whole rounds replay from the
+             under one id assignment, so whole rounds replay from the
              store: the digest scheme matches the slice keys
              ([Mincover.slice_digest_ir]), pinning every id, symbol and
              relation in the set. *)
           let pruned =
             let cold () =
-              Mincover.prune_partitioned_ir ?pool ?engine ctx space ~chunk
+              Mincover.prune_partitioned_ir ?pool ctx space ~chunk
                 live
             in
             match delta with
@@ -380,7 +381,7 @@ let reduce_ir ~ctx ?prune ?pool ?engine ?delta ?max_size
   (match delta with Some d -> d.d_populated <- true | None -> ());
   res
 
-let reduce ?prune ?pool ?engine ?max_size ?(order = `Min_degree) sigma ~drop_attrs =
+let reduce ?prune ?pool ?max_size ?(order = `Min_degree) sigma ~drop_attrs =
   let ctx = Ir.create_ctx () in
   let isigma = List.map (Ir.of_ast ctx) sigma in
   let drop_ids = List.map (Ir.intern ctx) drop_attrs in
@@ -390,6 +391,6 @@ let reduce ?prune ?pool ?engine ?max_size ?(order = `Min_degree) sigma ~drop_att
       prune
   in
   let irs, completeness =
-    reduce_ir ~ctx ?prune ?pool ?engine ?max_size ~order isigma ~drop_ids
+    reduce_ir ~ctx ?prune ?pool ?max_size ~order isigma ~drop_ids
   in
   (List.sort_uniq C.compare (List.map (Ir.to_ast ctx) irs), completeness)

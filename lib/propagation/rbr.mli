@@ -58,7 +58,6 @@ val drop_indexed : Cfds.Cfd.t list -> string -> Cfds.Cfd.t list
 val reduce :
   ?prune:Schema.relation * int ->
   ?pool:Parallel.Pool.t ->
-  ?engine:Fast_impl.engine ->
   ?max_size:int ->
   ?order:[ `Min_degree | `Given ] ->
   Cfds.Cfd.t list ->
@@ -77,11 +76,12 @@ val reduce :
     the resulting cover — is byte-identical to a cold run (asserted by
     the differential walks in the test suite and the serve bench).
 
-    Soundness across calls requires one stable attribute-id assignment:
-    share a store only between reductions over contexts interned with
-    [stable_ids] for the same (schema, view) pair — the resident session's
-    usage.  The store is bypassed when provenance recording is on (it must
-    observe every derivation), and dropped wholesale past a size cap.
+    Soundness across calls requires one attribute-id assignment: share a
+    store only between reductions for the same (schema, view) pair, whose
+    {!Propcover} contexts intern every name in declaration order before Σ
+    is seen — the resident session's usage.  The store is bypassed when
+    provenance recording is on (it must observe every derivation), and
+    dropped wholesale past a size cap.
     Not thread-safe: callers must serialise reductions that share a store
     (the session's delta writer lock does). *)
 
@@ -105,7 +105,6 @@ val reduce_ir :
   ctx:Ir.ctx ->
   ?prune:Ir.space * int ->
   ?pool:Parallel.Pool.t ->
-  ?engine:Fast_impl.engine ->
   ?delta:delta ->
   ?max_size:int ->
   ?order:[ `Min_degree | `Given ] ->

@@ -26,7 +26,6 @@ let op_telemetry name =
 type t = {
   memo : Propagation.Memo.t;
   pool : Parallel.Pool.t option;
-  kernel : Propagation.Fast_impl.engine;
   replicas : int;  (* engine slots per session *)
   max_line : int;
   access_log : out_channel option;
@@ -44,7 +43,7 @@ type t = {
   errors : int Atomic.t;
 }
 
-let create ?pool ?(kernel = `Packed) ?replicas
+let create ?pool ?replicas
     ?(max_line = Protocol.default_max_len) ?access_log ?slow_ms () =
   let replicas =
     match replicas with
@@ -57,7 +56,6 @@ let create ?pool ?(kernel = `Packed) ?replicas
   {
     memo = Propagation.Memo.create ();
     pool;
-    kernel;
     replicas;
     max_line;
     access_log;
@@ -178,7 +176,7 @@ let do_open t ~session ~doc ~view =
           Ok name)
   in
   match
-    Session.create ~kernel:t.kernel ?pool:t.pool ~replicas:t.replicas
+    Session.create ?pool:t.pool ~replicas:t.replicas
       ~memo:t.memo ~name ~view ~sigma ()
   with
   | Error _ as e ->
@@ -458,8 +456,7 @@ let handle_batch t lines =
 (* ------------------------------------------------------------------ *)
 (* Front ends *)
 
-let run_channels ?(once = false) t ic oc =
-  ignore once;
+let run_channels t ic oc =
   let errors = ref 0 in
   (try
      while true do

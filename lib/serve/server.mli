@@ -15,11 +15,11 @@
 type t
 
 (** [create ()] — [pool] batches concurrent requests across domains in
-    {!handle_batch}; [kernel] selects the implication engine for every
-    session; [replicas] fixes each session's engine-slot count (floored
-    to 1; default: the pool's worker count, or 1 without a pool), so a
-    saturating batch never queues on one compiled engine; [max_line]
-    caps accepted request lines (default {!Protocol.default_max_len}).
+    {!handle_batch}; [replicas] fixes each session's engine-slot count
+    (floored to 1; default: the pool's worker count, or 1 without a
+    pool), so a saturating batch never queues on one compiled engine;
+    [max_line] caps accepted request lines (default
+    {!Protocol.default_max_len}).
 
     [access_log] turns on the structured access log: one JSON object per
     handled request ([ts], [id], [session], [op], [epoch], [plan],
@@ -34,7 +34,6 @@ type t
     contract of {!Obs} holds (one atomic load per channel). *)
 val create :
   ?pool:Parallel.Pool.t ->
-  ?kernel:Propagation.Fast_impl.engine ->
   ?replicas:int ->
   ?max_line:int ->
   ?access_log:out_channel ->
@@ -70,10 +69,10 @@ val handle_line : t -> string -> string
 val handle_batch : t -> string list -> string list
 
 (** [run_channels t ic oc] — the stdio loop: read a line, answer, flush,
-    until EOF.  With [once] (scripted transcripts) the exit status is
-    the number of error responses produced — CI smoke fails when a
-    transcript line errors.  Returns that error count in both modes. *)
-val run_channels : ?once:bool -> t -> in_channel -> out_channel -> int
+    until EOF.  Returns the number of error responses produced, from
+    which [cfdprop serve --once] derives its exit status (scripted
+    transcripts fail when a line errors). *)
+val run_channels : t -> in_channel -> out_channel -> int
 
 (** [run_tcp t ~port ()] — bind loopback (or [host]) and serve each
     accepted connection with the stdio loop, one at a time.

@@ -122,7 +122,6 @@ type t = {
   ns : string;
   vdigest : string;  (* Propcover.instance_digest of (options, view) *)
   options : Propcover.options;
-  kernel : Fast_impl.engine;
   atom_bases : string list;
   replicas : int;
   rr : int Atomic.t;  (* round-robin cursor over the slots *)
@@ -144,11 +143,7 @@ let cfds_equal a b =
 
 let group sigma rel = List.filter (fun c -> String.equal c.C.rel rel) sigma
 
-let namespace kernel db =
-  let tag = match kernel with `Packed -> "P" | `Reference -> "R" in
-  (* "S" pins the stable-id discipline: slices computed under stable ids
-     must never be consumed by Σ-order-id runs (different tie-breaks). *)
-  Memo.digest_string (Memo.schema_string db ^ "\x1e" ^ tag ^ "\x1eS")
+let namespace db = Memo.digest_string (Memo.schema_string db)
 
 (* The current line-1 slice of one relation: probe the shared memo under
    the same key [Mincover.minimal_cover_db_ir] files it under (a session
@@ -156,7 +151,7 @@ let namespace kernel db =
    short-circuited line 1 and nothing ever computed this Σ_R — fall back
    to the AST-level MinCover, which agrees with the IR path (the test
    suite pins [minimal_cover_ir ≡ minimal_cover]). *)
-let compute_slice ~memo ~ns ~kernel db sigma rel_name =
+let compute_slice ~memo ~ns db sigma rel_name =
   match group sigma rel_name with
   | [] -> []
   | grp ->
@@ -165,12 +160,11 @@ let compute_slice ~memo ~ns ~kernel db sigma rel_name =
      | Some (Memo.Cfds asts) -> normalize_sigma asts
      | Some _ | None ->
        normalize_sigma
-         (Mincover.minimal_cover ~engine:kernel (Schema.find db rel_name) grp))
+         (Mincover.minimal_cover (Schema.find db rel_name) grp))
 
-let refresh_slices ~memo ~ns ~kernel view atom_bases sigma =
+let refresh_slices ~memo ~ns view atom_bases sigma =
   List.map
-    (fun rel ->
-      (rel, compute_slice ~memo ~ns ~kernel view.Spc.source sigma rel))
+    (fun rel -> (rel, compute_slice ~memo ~ns view.Spc.source sigma rel))
     atom_bases
 
 let name t = t.name
@@ -187,11 +181,11 @@ let fresh_options t =
 (* One freshly compiled engine per replica.  Patched-tier deltas reuse
    the previous snapshot's slots (the cover is unchanged); only
    Recomputed-tier deltas pay this. *)
-let compile_slots ~kernel ~replicas view cover =
+let compile_slots ~replicas view cover =
   Array.init replicas (fun _ ->
       {
         slot_lock = Mutex.create ();
-        slot_compiled = Fast_impl.compile ~engine:kernel (Spc.view_schema view) cover;
+        slot_compiled = Fast_impl.compile (Spc.view_schema view) cover;
       })
 
 let snapshot t = Atomic.get t.snap
@@ -228,8 +222,7 @@ let with_slot t (snap : snapshot) f =
     (fun () -> f s.slot_compiled)
     ~finally:(fun () -> Mutex.unlock s.slot_lock)
 
-let create ?(kernel = `Packed) ?pool ?(replicas = 1) ~memo ~name ~view ~sigma
-    () =
+let create ?pool ?(replicas = 1) ~memo ~name ~view ~sigma () =
   match
     List.find_opt
       (fun c -> not (Schema.mem view.Spc.source c.C.rel))
@@ -239,13 +232,11 @@ let create ?(kernel = `Packed) ?pool ?(replicas = 1) ~memo ~name ~view ~sigma
   | None ->
     let replicas = max 1 replicas in
     let sigma = normalize_sigma sigma in
-    let ns = namespace kernel view.Spc.source in
+    let ns = namespace view.Spc.source in
     let options =
       {
         Propcover.default_options with
-        Propcover.kernel;
-        pool;
-        stable_ids = true;
+        Propcover.pool;
         memo_results = true;
         memo = Some (memo, ns);
         rbr_delta = Some (Rbr.create_delta ());
@@ -265,9 +256,8 @@ let create ?(kernel = `Packed) ?pool ?(replicas = 1) ~memo ~name ~view ~sigma
         snap_sigma = sigma;
         snap_result = result;
         snap_cover_digest = Memo.digest_cfds result.Propcover.cover;
-        snap_slices = refresh_slices ~memo ~ns ~kernel view atom_bases sigma;
-        snap_slots =
-          compile_slots ~kernel ~replicas view result.Propcover.cover;
+        snap_slices = refresh_slices ~memo ~ns view atom_bases sigma;
+        snap_slots = compile_slots ~replicas view result.Propcover.cover;
         snap_attribution = Atomic.make None;
       }
     in
@@ -279,7 +269,6 @@ let create ?(kernel = `Packed) ?pool ?(replicas = 1) ~memo ~name ~view ~sigma
         ns;
         vdigest = Propcover.instance_digest options view;
         options;
-        kernel;
         atom_bases;
         replicas;
         rr = Atomic.make 0;
@@ -521,8 +510,7 @@ let apply_delta_locked t dop c =
           | None -> []
         in
         let new_slice =
-          compute_slice ~memo:t.memo ~ns:t.ns ~kernel:t.kernel
-            t.view.Spc.source sigma' rel
+          compute_slice ~memo:t.memo ~ns:t.ns t.view.Spc.source sigma' rel
         in
         if cfds_equal old_slice new_slice then
           (* Tier B: the delta is absorbed by MinCover(Σ_R) — every
@@ -562,10 +550,10 @@ let apply_delta_locked t dop c =
               snap_result = result;
               snap_cover_digest = Memo.digest_cfds result.Propcover.cover;
               snap_slices =
-                refresh_slices ~memo:t.memo ~ns:t.ns ~kernel:t.kernel t.view
-                  t.atom_bases sigma';
+                refresh_slices ~memo:t.memo ~ns:t.ns t.view t.atom_bases
+                  sigma';
               snap_slots =
-                compile_slots ~kernel:t.kernel ~replicas:t.replicas t.view
+                compile_slots ~replicas:t.replicas t.view
                   result.Propcover.cover;
               snap_attribution = Atomic.make None;
             }

@@ -30,11 +30,10 @@
 
     {2 The Σ-delta planner}
 
-    Sessions run {!Propagation.Propcover} with [stable_ids] on, so the
-    pipeline's id-order tie-breaks depend only on the (schema, view) pair
-    — never on Σ.  [add_cfd]/[remove_cfd] then pick the cheapest plan
-    that keeps the session's cover {e byte-identical} to a fresh
-    [Propcover.cover] on the current Σ:
+    {!Propagation.Propcover}'s id-order tie-breaks depend only on the
+    (schema, view) pair — never on Σ.  [add_cfd]/[remove_cfd] therefore
+    pick the cheapest plan that keeps the session's cover
+    {e byte-identical} to a fresh [Propcover.cover] on the current Σ:
 
     - {b Patched} (counted [serve.delta_patches]): either the delta's
       relation is not a base of any view atom (lines 5–6 rename only
@@ -104,10 +103,9 @@ val normalize_sigma : Cfds.Cfd.t list -> Cfds.Cfd.t list
 (** [create ~memo ~name ~view ~sigma ()] computes the initial cover
     (epoch 0) and compiles [replicas] (default 1, floored to 1) query
     engines.  [memo] may be shared with other sessions — keys are
-    namespaced by a digest of the schema, the kernel, and the stable-id
-    discipline.  Errors on CFDs over unknown source relations. *)
+    namespaced by a digest of the schema.  Errors on CFDs over unknown
+    source relations. *)
 val create :
-  ?kernel:Propagation.Fast_impl.engine ->
   ?pool:Parallel.Pool.t ->
   ?replicas:int ->
   memo:Propagation.Memo.t ->
@@ -121,8 +119,8 @@ val name : t -> string
 val view : t -> Spc.t
 
 (** The exact options a from-scratch differential run must use to be
-    byte-comparable with the session ([stable_ids] on, no memo, no
-    derivation store). *)
+    byte-comparable with the session (the session's pipeline options
+    without the memo or the derivation store). *)
 val fresh_options : t -> Propagation.Propcover.options
 
 (** Current epoch: 0 after [create], +1 per applied (non-noop) delta.

@@ -1,11 +1,16 @@
 #!/usr/bin/env python3
-"""Cover-size regression guard.
+"""Cover regression guard.
 
 Compares a smoke-bench JSON dump (bench/main.exe --json) against the
-checked-in baseline BENCH_cover.json.  Cover sizes are a pure function
-of the workload seeds (1000 + 7*s), so for the same --seeds value every
+checked-in baseline BENCH_cover.json.  Covers are a pure function of
+the workload seeds (1000 + 7*s), so for the same --seeds value every
 shared point must match the baseline *exactly* — any drift means the
-propagation engine changed semantics, not just speed.
+propagation engine changed semantics, not just speed.  Cover sizes are
+compared everywhere; wherever the baseline point carries the cover
+digests (digest40/digest50: each seed's sorted cover, digested in seed
+order — the fig5-8 and XL points), they must match too, so a change
+that swaps one cover CFD for another of the same count is caught at
+the byte level.
 
 Timings are environment-dependent and deliberately ignored.
 
@@ -24,7 +29,9 @@ was exactly a silent mask_prune_skips = 0).  None of these would show
 up in cover sizes alone.
 
 The same script validates the XL sweep baseline: point rows there carry
-extra "gc"/"ab" objects, which the cover comparison ignores.
+extra "gc" objects (and, at 10k/20k, the "ab" record of the retired
+packed-vs-reference kernel comparison), which the cover comparison
+ignores.
 
 When the smoke dump carries a serve figure (any point with a "serve"
 object), the replicated-session counters serve.replica_reads,
@@ -267,7 +274,7 @@ def main():
 
     drift = []
     for key in shared:
-        for col in ("cover40", "cover50", "empty_pct"):
+        for col in ("cover40", "cover50", "empty_pct", "digest40", "digest50"):
             if col in base[key] and smoke[key].get(col) != base[key][col]:
                 drift.append(
                     f"  {key[0]} x={key[1]} {col}: "
@@ -275,7 +282,7 @@ def main():
                 )
 
     if drift:
-        print("DRIFT GUARD FAILED: cover sizes diverge from BENCH_cover.json")
+        print(f"DRIFT GUARD FAILED: covers diverge from {base_path}")
         print("\n".join(drift))
         print(
             "If the change is intentional (engine semantics changed), "

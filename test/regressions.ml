@@ -29,7 +29,7 @@ let checks =
     ("provenance.provenance_sound", Test_provenance.provenance_sound);
     ("provenance.witness_replays", Test_provenance.witness_replays);
     ("serve.walk_matches_batch", Test_serve.walk_matches_batch);
-    ("serve.stable_ids_equivalent", Test_serve.stable_ids_equivalent);
+    ("serve.sigma_order_invariant", Test_serve.sigma_order_invariant);
   ]
 
 let corpus =
@@ -47,7 +47,7 @@ let corpus =
     ("provenance.provenance_sound", [ 0; 9; 301; 28_657; 832_040 ]);
     ("provenance.witness_replays", [ 0; 21; 1_729; 65_537; 987_654 ]);
     ("serve.walk_matches_batch", [ 0; 4; 19; 512; 6_765; 104_729; 888_888 ]);
-    ("serve.stable_ids_equivalent", [ 0; 8; 144; 46_368 ]);
+    ("serve.sigma_order_invariant", [ 0; 8; 144; 46_368 ]);
   ]
 
 let replay name check seed () =
