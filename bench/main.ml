@@ -628,9 +628,7 @@ let serve_run_one ~seed ~domains ~var_pct =
   in
   (* Delta pool: 3 random source CFDs plus one on a relation no view atom
      uses (guaranteed Tier-A patch). *)
-  let atom_bases =
-    List.map (fun (a : Spc.atom) -> a.Spc.base) view.Spc.atoms
-  in
+  let atom_bases = Spc.bases view in
   let off_view =
     match
       List.find_opt

@@ -11,6 +11,7 @@ let c_rounds = Obs.counter "fast_impl.chase_rounds"
 let c_rule_apps = Obs.counter "fast_impl.rule_applications"
 let c_firings = Obs.counter "fast_impl.rule_firings"
 let c_mask_skips = Obs.counter "fast_impl.mask_prune_skips"
+let c_goal_stops = Obs.counter "fast_impl.goal_stops"
 let c_arena_resets = Obs.counter "fast_impl.arena_resets"
 let c_wide_compiles = Obs.counter "fast_impl.wide_compiles"
 
@@ -74,6 +75,7 @@ type arena = {
   mutable t_apps : int;
   mutable t_firings : int;
   mutable t_skips : int;
+  mutable t_goal_stops : int;
 }
 
 let arena_create arity words =
@@ -95,6 +97,7 @@ let arena_create arity words =
     t_apps = 0;
     t_firings = 0;
     t_skips = 0;
+    t_goal_stops = 0;
   }
 
 (* The compiled rule set, struct-of-arrays.  [kind] is 'a' (attr-eq),
@@ -361,7 +364,8 @@ let publish st tracing =
     Obs.add c_rounds st.t_rounds;
     Obs.add c_rule_apps st.t_apps;
     Obs.add c_firings st.t_firings;
-    Obs.add c_mask_skips st.t_skips
+    Obs.add c_mask_skips st.t_skips;
+    Obs.add c_goal_stops st.t_goal_stops
   end;
   if tracing then
     Obs.trace_end
@@ -373,6 +377,14 @@ let publish st tracing =
         ]
       "fast_impl.chase"
 
+(* Safe RHS: the term respects the pattern binding in every realisation. *)
+let rhs_safe st cell rhs_v =
+  rhs_v == wild_v
+  ||
+  let r = find st.parent cell in
+  Bytes.unsafe_get st.has_const r <> '\000'
+  && Value.equal (Array.unsafe_get st.cls_val r) rhs_v
+
 (* Semi-naive fixpoint over the caller-seeded arena: one pass over the
    autonomous rules, then a worklist of dirty positions re-applies only
    the rules watching them.  A position is dirty when some class with a
@@ -380,15 +392,25 @@ let publish st tracing =
    creates new cross-class equalities only, while a class gaining a
    constant can newly satisfy Const premises anywhere in it, so the whole
    merged class is marked ([mark_class]).  The caller must have
-   [arena_reset] and seeded the cells. *)
-let chase pk mask fired two_rows =
+   [arena_reset] and seeded the cells.
+
+   The query's goal rides along positionally (an optional argument would
+   box): cells [ga] and [gb] equal and, for a constant [gv], bound to it.
+   Before each dirty position the chase stops if the goal already holds.
+   That is exact: the union-find state only grows, so a goal met now is
+   met at the fixpoint, and a later [Conflict] would answer true as well.
+   A witness collection ([fired]) runs to the fixpoint, so the witness is
+   the same as without the stop. *)
+let chase pk mask fired two_rows ga gb gv =
   let st = pk.arena in
   let n = pk.arity in
   let ncells = if two_rows then 2 * n else n in
+  let goal = Option.is_none fired in
   st.t_rounds <- 0;
   st.t_apps <- 0;
   st.t_firings <- 0;
   st.t_skips <- 0;
+  st.t_goal_stops <- 0;
   let tracing = Obs.trace_enabled () in
   if tracing then Obs.trace_begin "fast_impl.chase";
   match
@@ -402,17 +424,24 @@ let chase pk mask fired two_rows =
     st.t_rounds <- st.t_rounds + 1;
     apply_list pk two_rows mask fired pk.autonomous;
     while st.qhead <> st.qtail do
-      let p = Array.unsafe_get st.queue st.qhead in
-      let h = st.qhead + 1 in
-      st.qhead <- (if h = Array.length st.queue then 0 else h);
-      Bytes.unsafe_set st.dirty p '\000';
-      st.t_rounds <- st.t_rounds + 1;
-      let stop = Array.unsafe_get pk.watch_off (p + 1) in
-      let k = ref (Array.unsafe_get pk.watch_off p) in
-      while !k < stop do
-        apply pk two_rows mask fired (Array.unsafe_get pk.watch !k);
-        incr k
-      done
+      if goal && cells_equal st ga gb && rhs_safe st ga gv then begin
+        (* Queued entries stay marked dirty; [arena_reset] clears them. *)
+        st.t_goal_stops <- 1;
+        st.qhead <- st.qtail
+      end
+      else begin
+        let p = Array.unsafe_get st.queue st.qhead in
+        let h = st.qhead + 1 in
+        st.qhead <- (if h = Array.length st.queue then 0 else h);
+        Bytes.unsafe_set st.dirty p '\000';
+        st.t_rounds <- st.t_rounds + 1;
+        let stop = Array.unsafe_get pk.watch_off (p + 1) in
+        let k = ref (Array.unsafe_get pk.watch_off p) in
+        while !k < stop do
+          apply pk two_rows mask fired (Array.unsafe_get pk.watch !k);
+          incr k
+        done
+      end
     done
   with
   | () -> publish st tracing
@@ -616,17 +645,9 @@ let mask_mem m i = Bytes.get m i <> '\000'
 
 (* --- implication queries ------------------------------------------------- *)
 
-(* Safe RHS: the term respects the pattern binding in every realisation. *)
-let rhs_safe st cell rhs_v =
-  rhs_v == wild_v
-  ||
-  let r = find st.parent cell in
-  Bytes.unsafe_get st.has_const r <> '\000'
-  && Value.equal (Array.unsafe_get st.cls_val r) rhs_v
-
 let implies_attr_eq_pos pk mask fired pa pb =
   arena_reset pk.arena pk.arity;
-  match chase pk mask fired false with
+  match chase pk mask fired false pa pb wild_v with
   | () -> cells_equal pk.arena pa pb
   | exception Conflict -> true
 
@@ -654,7 +675,7 @@ let implies_standard_pos pk mask fired qlen rp rhs_v =
           ignore (bind_root st (find st.parent (n + i)) v)
         end
       done;
-      chase pk mask fired true
+      chase pk mask fired true rp (n + rp) rhs_v
     with
     | () -> cells_equal st rp (n + rp) && rhs_safe st rp rhs_v
     | exception Conflict -> true
@@ -671,7 +692,7 @@ let implies_standard_pos pk mask fired qlen rp rhs_v =
            if v != wild_v then
              ignore (bind_root st (find st.parent st.q_pos.(k)) v)
          done;
-         chase pk mask fired false
+         chase pk mask fired false rp rp rhs_v
        with
        | () -> rhs_safe st rp rhs_v
        | exception Conflict -> true

@@ -27,7 +27,11 @@
     - {b a per-compiled arena} — union-find, dirty sets, the watcher
       worklist and query scratch are allocated once at compile time and
       reset in O(cells) per chase, so the steady-state query loop performs
-      {e zero} minor-heap allocation (asserted by [test/test_kernel.ml]).
+      {e zero} minor-heap allocation (asserted by [test/test_kernel.ml]);
+    - {b a goal stop} — a query's chase stops as soon as the query's RHS
+      holds (its cells equal and, for a constant RHS, bound to the
+      constant).  The chase state only grows, so the answer is the
+      fixpoint's; counted [fast_impl.goal_stops].
 
     Its decisions are checked against the tableau chase of {!Propagate}
     (over the identity view) on random narrow and wide schemas, plain and
@@ -88,7 +92,10 @@ val mask_mem : mask -> int -> bool
     application changed the chase state (or raised the conflict) has its
     byte set to ['\001'].  The marked subset is a sound implication witness:
     replaying only the marked rules reproduces the same chase, so when the
-    check returns [true], the marked rules alone already imply [phi]. *)
+    check returns [true], the marked rules alone already imply [phi].  A
+    witness-collecting chase runs to its fixpoint (no goal stop), so the
+    witness does not depend on when the goal was reached; the answer is
+    the same either way. *)
 val implies : ?mask:mask -> ?fired:Bytes.t -> compiled -> Cfds.Cfd.t -> bool
 
 (** [implies_ir ?mask ?fired space compiled iphi] — the same decision over

@@ -50,8 +50,8 @@ val minimal_cover_ir : Ir.ctx -> Ir.space -> Ir.t list -> Ir.t list
 (** [slice_key ~ns rel sigma_r] is the memo key {!minimal_cover_db_ir}
     files relation [rel]'s slice under when its per-relation input is
     [sigma_r] (any order-preserving AST form; the digest canonicalises
-    each CFD).  Exposed so the serve layer's delta planner can probe for
-    a relation's current slice without re-running line 1. *)
+    each CFD).  Exposed so a caller can probe the memo for a relation's
+    current slice without re-running line 1. *)
 val slice_key : ns:string -> string -> Cfds.Cfd.t list -> string
 
 (** [slice_digest_ir ctx g] digests a working set of interned CFDs at the

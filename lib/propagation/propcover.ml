@@ -220,30 +220,49 @@ let instance_digest options (v : Spc.t) =
        (match options.rbr_order with `Min_degree -> "D" | `Given -> "G"));
   Memo.digest_string (Buffer.contents b)
 
+(* Line 1: Σ := MinCover(Σ), one independent slice per relation.
+   Provenance derivations must bottom out in this run's own MinCover
+   steps, so the shared-slice cache is bypassed while --why is on. *)
+let initial_mincover ?memo ctx (v : Spc.t) isigma =
+  let memo = if Provenance.enabled () then None else memo in
+  Mincover.minimal_cover_db_ir ?memo ctx v.Spc.source isigma
+
+let slice ?memo (v : Spc.t) rel sigma =
+  let ctx = Ir.create_ctx () in
+  intern_universe ctx v;
+  let isigma =
+    List.filter_map
+      (fun c -> if String.equal c.C.rel rel then Some (Ir.of_ast ctx c) else None)
+      sigma
+  in
+  List.map (Ir.to_ast ctx) (initial_mincover ?memo ctx v isigma)
+
 (* The pipeline interior runs entirely on the IR: one context per [cover]
    call interns every attribute name touched (source, renamed, view), the
-   AST is converted exactly once per input CFD on the way in and once per
-   cover member on the way out — the [ir.of_ast]/[ir.to_ast] counters pin
-   this down in the test suite. *)
+   AST is converted exactly once per relevant input CFD on the way in and
+   once per cover member on the way out — the [ir.of_ast]/[ir.to_ast]
+   counters pin this down in the test suite. *)
 let compute_cover options (v : Spc.t) sigma =
   let ctx = Ir.create_ctx () in
   intern_universe ctx v;
+  (* Relevance: lines 5-6 keep only the CFDs of relations some atom reads,
+     and line 1 minimises each relation on its own, so the CFDs of every
+     other relation can never reach the cover.  Dropping them before the
+     entry edge cannot move a byte of it: [intern_universe] has already
+     fixed every id. *)
+  let bases = Spc.bases v in
+  let sigma = List.filter (fun c -> List.mem c.C.rel bases) sigma in
   (* The entry edge. *)
   let isigma = List.map (Ir.of_ast ctx) sigma in
-  (* The given Σ are the leaves every derivation must bottom out in. *)
+  (* The relevant Σ are the leaves every derivation must bottom out in. *)
   Provenance.record_axioms_ir ctx isigma;
   let y = v.Spc.projection in
   let view_schema = Spc.view_schema v in
-  (* Line 1: Σ := MinCover(Σ). *)
   let isigma =
     if options.skip_initial_mincover then isigma
-    else begin
-      (* Provenance derivations must bottom out in this run's own MinCover
-         steps, so the shared-slice cache is bypassed while --why is on. *)
-      let memo = if Provenance.enabled () then None else options.memo in
+    else
       Obs.with_span_traced s_initial_mincover (fun () ->
-          Mincover.minimal_cover_db_ir ?memo ctx v.Spc.source isigma)
-    end
+          initial_mincover ?memo:options.memo ctx v isigma)
   in
   (* Lines 5-6 first (the renamed CFDs feed ComputeEQ's closure). *)
   let sigma_v =

@@ -10,6 +10,11 @@
     for the domain constraints (Lemmas 4.2/4.3) → [RBR] over the dropped
     attributes → [EQ2CFD] → final [MinCover].
 
+    Only the CFDs on relations some view atom reads ({!Spc.bases}) enter
+    the pipeline.  The rest would be minimised by line 1 and then dropped
+    by the renaming of lines 5–6, and line 1 minimises each relation on
+    its own, so skipping them cannot change the cover.
+
     Every run interns all (schema, view) attribute names in declaration
     order before Σ is seen, so the IR's id assignment — and every
     id-order tie-break in the pipeline — depends on the (schema, view)
@@ -75,6 +80,15 @@ type result = {
     Raises [Invalid_argument] when some source CFD is not defined on a
     source relation of [v]. *)
 val cover : ?options:options -> Spc.t -> Cfds.Cfd.t list -> result
+
+(** [slice ?memo v rel sigma] is line 1's output for the one relation
+    [rel]: [MinCover] of the CFDs of [sigma] on [rel], with the same
+    interning as {!cover} and, given [memo], the same cache key
+    ({!Mincover.slice_key}), so a miss files the slice for the next
+    [cover] run.  The serve layer's delta planner compares slices with
+    it.  Like {!cover}, it bypasses the memo while provenance records. *)
+val slice :
+  ?memo:Memo.t * string -> Spc.t -> string -> Cfds.Cfd.t list -> Cfds.Cfd.t list
 
 (** [is_propagated_via_cover v sigma phi] decides [Σ |=_V φ] by computing
     the cover and testing [Γ |= φ] — the indirect decision procedure

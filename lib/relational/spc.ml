@@ -131,6 +131,8 @@ let make_exn ~source ~name ?constants ?selection ~atoms ~projection () =
 
 let body_attrs v = List.concat_map (fun a -> a.attrs) v.atoms
 
+let bases v = List.sort_uniq String.compare (List.map (fun a -> a.base) v.atoms)
+
 let body_attr v n =
   List.find (fun a -> String.equal (Attribute.name a) n) (body_attrs v)
 

@@ -66,6 +66,10 @@ val body_attrs : t -> Attribute.t list
 
 val body_attr : t -> string -> Attribute.t
 
+(** The source relations some atom reads, sorted and de-duplicated.  Only
+    CFDs on these relations can reach the propagation cover. *)
+val bases : t -> string list
+
 (** Which operators the view actually uses, for classifying it into the
     fragments S, P, C, SP, SC, PC, SPC of Section 2.2. *)
 type fragment = {

@@ -1,7 +1,6 @@
 open Relational
 module C = Cfds.Cfd
 module Propcover = Propagation.Propcover
-module Mincover = Propagation.Mincover
 module Fast_impl = Propagation.Fast_impl
 module Memo = Propagation.Memo
 module Provenance = Propagation.Provenance
@@ -141,31 +140,20 @@ let normalize_sigma l = List.sort_uniq C.compare (List.map C.canonical l)
 let cfds_equal a b =
   List.length a = List.length b && List.for_all2 C.equal a b
 
-let group sigma rel = List.filter (fun c -> String.equal c.C.rel rel) sigma
-
 let namespace db = Memo.digest_string (Memo.schema_string db)
 
-(* The current line-1 slice of one relation: probe the shared memo under
-   the same key [Mincover.minimal_cover_db_ir] files it under (a session
-   recompute always populates it); on a miss — e.g. the full-result cache
-   short-circuited line 1 and nothing ever computed this Σ_R — fall back
-   to the AST-level MinCover, which agrees with the IR path (the test
-   suite pins [minimal_cover_ir ≡ minimal_cover]). *)
-let compute_slice ~memo ~ns db sigma rel_name =
-  match group sigma rel_name with
-  | [] -> []
-  | grp ->
-    let key = Mincover.slice_key ~ns rel_name grp in
-    (match Memo.find memo key with
-     | Some (Memo.Cfds asts) -> normalize_sigma asts
-     | Some _ | None ->
-       normalize_sigma
-         (Mincover.minimal_cover (Schema.find db rel_name) grp))
+(* The current line-1 slice of one relation, by line 1's own procedure
+   under line 1's memo key: a session recompute has usually filed it
+   already, and a miss (e.g. the full-result cache short-circuited line 1)
+   computes and files it, so a Tier-C recompute that follows reuses it.
+   Latched like a recompute: while an attribution run has provenance on,
+   line 1 would bypass the memo and record into that run's arena. *)
+let compute_slice ~memo ~ns view sigma rel =
+  with_prov_reader (fun () ->
+      normalize_sigma (Propcover.slice ~memo:(memo, ns) view rel sigma))
 
 let refresh_slices ~memo ~ns view atom_bases sigma =
-  List.map
-    (fun rel -> (rel, compute_slice ~memo ~ns view.Spc.source sigma rel))
-    atom_bases
+  List.map (fun rel -> (rel, compute_slice ~memo ~ns view sigma rel)) atom_bases
 
 let name t = t.name
 let view t = t.view
@@ -242,10 +230,7 @@ let create ?pool ?(replicas = 1) ~memo ~name ~view ~sigma () =
         rbr_delta = Some (Rbr.create_delta ());
       }
     in
-    let atom_bases =
-      List.sort_uniq String.compare
-        (List.map (fun (a : Spc.atom) -> a.Spc.base) view.Spc.atoms)
-    in
+    let atom_bases = Spc.bases view in
     let result =
       Obs.with_span s_recompute (fun () ->
           with_prov_reader (fun () -> Propcover.cover ~options view sigma))
@@ -500,8 +485,9 @@ let apply_delta_locked t dop c =
           }
       in
       if not (List.mem rel t.atom_bases) then
-        (* Tier A: the relation feeds no view atom, so lines 5-6 filter
-           every CFD of it out — the pipeline input is untouched. *)
+        (* Tier A: the relation feeds no view atom, so [Propcover] drops
+           every CFD of it before line 1 — the pipeline input is
+           untouched. *)
         patch snap.snap_slices
       else begin
         let old_slice =
@@ -509,9 +495,7 @@ let apply_delta_locked t dop c =
           | Some s -> s
           | None -> []
         in
-        let new_slice =
-          compute_slice ~memo:t.memo ~ns:t.ns t.view.Spc.source sigma' rel
-        in
+        let new_slice = compute_slice ~memo:t.memo ~ns:t.ns t.view sigma' rel in
         if cfds_equal old_slice new_slice then
           (* Tier B: the delta is absorbed by MinCover(Σ_R) — every
              downstream stage sees element-wise identical input.  Keep

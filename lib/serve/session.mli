@@ -36,12 +36,15 @@
     {e byte-identical} to a fresh [Propcover.cover] on the current Σ:
 
     - {b Patched} (counted [serve.delta_patches]): either the delta's
-      relation is not a base of any view atom (lines 5–6 rename only
-      atom-relation CFDs, so the pipeline input is untouched), or the
-      recomputed per-relation line-1 slice is set-identical to the old
-      one (then every downstream stage sees element-wise identical
-      input).  The next snapshot shares the cover, digest, and compiled
-      slots with the old one; only Σ and the slices change.
+      relation is not a base of any view atom ({!Relational.Spc.bases}:
+      {!Propagation.Propcover} drops its CFDs before line 1, so the
+      pipeline input is untouched), or the recomputed per-relation
+      line-1 slice is set-identical to the old one (then every
+      downstream stage sees element-wise identical input).  Slices come
+      from {!Propagation.Propcover.slice} — line 1 itself under line 1's
+      memo key — so a miss files the slice a following recompute reuses.
+      The next snapshot shares the cover, digest, and compiled slots with
+      the old one; only Σ and the slices change.
     - {b Recomputed} (counted [serve.fallbacks]): anything else — minimal
       covers are not monotone under axiom deletion, so provenance
       attribution alone can never justify skipping the recompute; it only

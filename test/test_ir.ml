@@ -4,7 +4,8 @@
    - round-trip: [to_ast ∘ of_ast] is [Cfds.Cfd.canonical], and interned
      equality coincides with canonical AST equality;
    - conversion edges: one [Propcover.cover] run converts AST→IR exactly
-     once per input CFD and IR→AST exactly once per cover member — the
+     once per input CFD on a relation some view atom reads (the rest never
+     enter the pipeline) and IR→AST exactly once per cover member — the
      interior performs zero conversions (pinned by the [ir.of_ast] /
      [ir.to_ast] counters);
    - [Mincover.minimal_cover_ir] agrees with the AST [minimal_cover] up
@@ -69,10 +70,13 @@ let cover_conversion_edges seed =
     (fun () ->
       let r = Propcover.cover view sigma in
       let snap = Obs.snapshot () in
-      (* The entry edge interns Σ once; the exit edge de-interns the cover
-         once (the ⊥ short-cut emits its AST cover directly).  Anything
-         more would be an interior conversion. *)
-      counter_value snap "ir.of_ast" = List.length sigma
+      (* The entry edge interns the CFDs on read relations once (the rest
+         are dropped before it); the exit edge de-interns the cover once
+         (the ⊥ short-cut emits its AST cover directly).  Anything more
+         would be an interior conversion. *)
+      let bases = Spc.bases view in
+      counter_value snap "ir.of_ast"
+      = List.length (List.filter (fun c -> List.mem c.C.rel bases) sigma)
       && counter_value snap "ir.to_ast"
          = (if r.Propcover.always_empty then 0
             else List.length r.Propcover.cover))

@@ -7,6 +7,10 @@
      the rule masks span several words);
    - leave-one-out masked queries ≡ the chase over Σ with that rule
      removed, rule for rule;
+   - both for Σ's own members and for the LHS-reduction queries of
+     MinCover (a member with one LHS attribute dropped), which the goal
+     stop cuts short when they are implied; a witness-collecting query
+     ([~fired], which runs to the fixpoint) answers the same;
    - wide schemas actually prune: [fast_impl.mask_prune_skips] is nonzero
      past arity 63;
    - the steady-state query loop allocates nothing on the minor heap.
@@ -44,24 +48,48 @@ let chase_implies view sigma phi =
   | P.Propagate.Not_propagated _ -> false
   | P.Propagate.Budget_exceeded -> Alcotest.fail "chase-only ran out of budget"
 
-(* One workload, every CFD of Σ as the query: the kernel's AST and IR
-   front-ends against the chase on Σ, then each leave-one-out mask the
-   MinCover loops use against the chase on Σ minus that rule. *)
+(* The two query shapes MinCover asks: every member of Σ (the
+   leave-one-out shape, which reaches its goal only by firing itself)
+   and every member with one LHS attribute dropped (the LHS-reduction
+   shape, which is often implied long before the fixpoint). *)
+let queries sigma =
+  sigma
+  @ List.concat_map
+      (fun phi ->
+        if C.is_attr_eq phi then []
+        else
+          List.map
+            (fun (a, _) ->
+              C.make phi.C.rel
+                (List.filter (fun (b, _) -> not (String.equal a b)) phi.C.lhs)
+                phi.C.rhs)
+            phi.C.lhs)
+      sigma
+
+(* One workload, every query shape: the kernel's AST and IR front-ends
+   against the chase on Σ, then each leave-one-out mask the MinCover
+   loops use against the chase on Σ minus that rule.  Every kernel answer
+   is also asked with [~fired], which turns the goal stop off. *)
 let kernel_matches_chase ~min_arity ~max_arity seed =
   let rel, sigma = relation_workload ~min_arity ~max_arity ~max_lhs:4 seed in
   let view = P.Implication.identity_view rel in
   let compiled = P.Fast_impl.compile rel sigma in
   let ctx = Ir.create_ctx () in
   let space = Ir.space_of_schema ctx rel in
-  let isigma = List.map (Ir.of_ast ctx) sigma in
-  let icompiled = P.Fast_impl.compile_ir space isigma in
+  let icompiled = P.Fast_impl.compile_ir space (List.map (Ir.of_ast ctx) sigma) in
+  let qs = queries sigma in
+  let iqs = List.map (Ir.of_ast ctx) qs in
+  let fired () = Bytes.make (List.length sigma) '\000' in
   let plain_ok =
     List.for_all2
       (fun phi iphi ->
         let expected = chase_implies view sigma phi in
         P.Fast_impl.implies compiled phi = expected
-        && P.Fast_impl.implies_ir space icompiled iphi = expected)
-      sigma isigma
+        && P.Fast_impl.implies ~fired:(fired ()) compiled phi = expected
+        && P.Fast_impl.implies_ir space icompiled iphi = expected
+        && P.Fast_impl.implies_ir ~fired:(fired ()) space icompiled iphi
+           = expected)
+      qs iqs
   in
   let mask = P.Fast_impl.full_mask icompiled in
   let masked_ok = ref true in
@@ -71,11 +99,14 @@ let kernel_matches_chase ~min_arity ~max_arity seed =
       P.Fast_impl.mask_clear mask i;
       List.iter2
         (fun phi iphi ->
+          let expected = chase_implies view rest phi in
           if
-            P.Fast_impl.implies_ir ~mask space icompiled iphi
-            <> chase_implies view rest phi
+            P.Fast_impl.implies_ir ~mask space icompiled iphi <> expected
+            || P.Fast_impl.implies_ir ~mask ~fired:(fired ()) space icompiled
+                 iphi
+               <> expected
           then masked_ok := false)
-        sigma isigma;
+        qs iqs;
       P.Fast_impl.mask_set mask i)
     sigma;
   plain_ok && !masked_ok
@@ -129,13 +160,13 @@ let test_wide_mask_pruning () =
 
 (* --- (c) steady-state queries allocate nothing -------------------------- *)
 
+(* Both query shapes, so the goal stop's exits are on the measured path. *)
 let test_zero_allocation_steady_state () =
   let rel, sigma = relation_workload ~min_arity:8 ~max_arity:12 ~max_lhs:4 17 in
   let ctx = Ir.create_ctx () in
   let space = Ir.space_of_schema ctx rel in
-  let ilist = List.map (Ir.of_ast ctx) sigma in
-  let isigma = Array.of_list ilist in
-  let compiled = P.Fast_impl.compile_ir space ilist in
+  let compiled = P.Fast_impl.compile_ir space (List.map (Ir.of_ast ctx) sigma) in
+  let isigma = Array.of_list (List.map (Ir.of_ast ctx) (queries sigma)) in
   let nq = Array.length isigma in
   (* A closure allocated once, outside the measurement; its body must not
      touch the minor heap (plain for-loop — iterator closures would). *)

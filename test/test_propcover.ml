@@ -282,6 +282,58 @@ let test_cover_holds_on_data () =
       r.Propcover.cover
   done
 
+(* --- Relevance: CFDs on relations no view atom reads ------------------- *)
+
+(* Lines 5-6 keep only the CFDs of relations some atom reads, and line 1
+   minimises each relation on its own, so CFDs on any other relation can
+   change neither the cover nor the work line 1 does: appending them
+   leaves the printed cover and [mincover.candidates_tested] as they
+   were. *)
+let unread_relations_are_free seed =
+  let rng = Workload.Rng.make seed in
+  (* Two atoms over four relations leave at least two relations unread. *)
+  let schema =
+    Workload.Schema_gen.generate rng ~relations:4 ~min_arity:3 ~max_arity:5
+  in
+  let count = Workload.Rng.range rng 6 16 in
+  let sigma =
+    Workload.Cfd_gen.generate rng ~schema ~count ~max_lhs:3 ~var_pct:50
+  in
+  let view = Workload.View_gen.generate rng ~schema ~y:4 ~f:1 ~ec:2 in
+  let read = Spc.bases view in
+  let unread =
+    List.filter
+      (fun r -> not (List.mem (Schema.relation_name r) read))
+      (Schema.relations schema)
+  in
+  let extra =
+    Workload.Cfd_gen.generate rng ~schema:(Schema.db unread)
+      ~count:(Workload.Rng.range rng 3 10) ~max_lhs:3 ~var_pct:50
+  in
+  let run sigma =
+    Obs.reset ();
+    let r = Propcover.cover view sigma in
+    let tested =
+      Option.value ~default:0
+        (List.assoc_opt "mincover.candidates_tested"
+           (Obs.snapshot ()).Obs.counters)
+    in
+    ( List.map (Fmt.str "%a" C.pp) r.Propcover.cover,
+      r.Propcover.complete,
+      r.Propcover.always_empty,
+      tested )
+  in
+  Obs.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> Obs.set_enabled false)
+    (fun () -> run sigma = run (sigma @ extra))
+
+let prop_unread_relations_are_free =
+  QCheck2.Test.make ~name:"CFDs on unread relations cost line 1 nothing"
+    ~count:30
+    (QCheck2.Gen.int_range 0 1_000_000)
+    unread_relations_are_free
+
 let suite =
   [
     ("Example 4.3", `Quick, test_example_4_3);
@@ -292,4 +344,5 @@ let suite =
     ("Rc constants propagate", `Quick, test_rc_constants_in_cover);
     ("cover agrees with chase decision", `Slow, test_cover_agrees_with_chase);
     ("cover holds on random data", `Slow, test_cover_holds_on_data);
+    QCheck_alcotest.to_alcotest prop_unread_relations_are_free;
   ]

@@ -195,6 +195,20 @@ let test_delta_tiers () =
   let d = ok_exn (Session.add_cfd s redundant) in
   check_bool "tier B patched" true (d.Session.plan = Session.Patched);
   check_int "tier B epoch" 2 d.Session.epoch;
+  (* The check computed the new Σ_R's slice by line 1's own procedure and
+     filed it under line 1's memo key, so a recompute that follows reuses
+     it rather than minimising Σ_R again. *)
+  let sigma_r =
+    List.filter (fun c -> String.equal c.C.rel "R1") (Session.sigma s)
+  in
+  let ns = P.Memo.digest_string (P.Memo.schema_string q1.Spc.source) in
+  (match P.Memo.find memo (P.Mincover.slice_key ~ns "R1" sigma_r) with
+   | Some (P.Memo.Cfds filed) ->
+     let line1 = P.Propcover.slice q1 "R1" sigma_r in
+     check_bool "tier B filed line 1's slice" true
+       (List.length filed = List.length line1
+       && List.for_all2 (fun a b -> C.compare a b = 0) filed line1)
+   | Some _ | None -> Alcotest.fail "tier B filed no slice under line 1's key");
   (* Tier C: cfd1 survives into the cover — full recompute. *)
   let d = ok_exn (Session.add_cfd s cfd1) in
   check_bool "tier C recomputed" true (d.Session.plan = Session.Recomputed);
