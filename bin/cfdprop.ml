@@ -89,8 +89,9 @@ let cover path view_name chunk bound stats stats_json why provenance_json =
     }
   in
   if stats || stats_json <> None then Obs.set_enabled true;
-  if why || provenance_json <> None then Propagation.Provenance.set_enabled true;
-  let r = Propagation.Propcover.cover ~options view sigma in
+  let prov = Propagation.Provenance.create () in
+  let provenance = if why || provenance_json <> None then Some prov else None in
+  let r = Propagation.Propcover.cover ~options ?provenance view sigma in
   if r.Propagation.Propcover.always_empty then
     Fmt.pr "# the view is empty on every source satisfying the CFDs@.";
   if not r.Propagation.Propcover.complete then
@@ -104,14 +105,14 @@ let cover path view_name chunk bound stats stats_json why provenance_json =
     List.iter
       (fun c ->
         Fmt.pr "@.";
-        Propagation.Provenance.pp_tree ~pp_cfd:Parser.print_cfd
+        Propagation.Provenance.pp_tree ~pp_cfd:Parser.print_cfd prov
           Format.std_formatter c)
       r.Propagation.Propcover.cover;
   Option.iter
     (fun p ->
       let oc = open_out p in
       output_string oc
-        (Propagation.Provenance.to_json ~pp_cfd:Parser.print_cfd
+        (Propagation.Provenance.to_json ~pp_cfd:Parser.print_cfd prov
            r.Propagation.Propcover.cover);
       close_out oc;
       Fmt.epr "# wrote cover provenance to %s@." p)
@@ -256,8 +257,8 @@ let explain path cfd_text view_name budget =
     find_view doc (match view_name with Some _ -> view_name | None -> Some phi.Cfds.Cfd.rel)
   in
   let sigma = source_cfds doc in
-  Propagation.Provenance.set_enabled true;
-  let r = Propagation.Propcover.cover view sigma in
+  let provenance = Propagation.Provenance.create () in
+  let r = Propagation.Propcover.cover ~provenance view sigma in
   if r.Propagation.Propcover.always_empty then begin
     Fmt.pr "PROPAGATED (vacuously): the view is empty on every source \
             satisfying the CFDs@.";
@@ -281,7 +282,7 @@ let explain path cfd_text view_name budget =
         List.iter
           (fun c ->
             Fmt.pr "@.";
-            Propagation.Provenance.pp_tree ~pp_cfd:Parser.print_cfd
+            Propagation.Provenance.pp_tree ~pp_cfd:Parser.print_cfd provenance
               Format.std_formatter c)
           used
       end;

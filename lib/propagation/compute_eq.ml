@@ -5,7 +5,6 @@ module P = Cfds.Pattern
 type eq_class = {
   attrs : string list;
   key : Value.t option;
-  contributors : C.t list;
 }
 
 type t =
@@ -14,21 +13,18 @@ type t =
 
 exception Inconsistent
 
-(* Union-find over attribute names with an optional constant key per root.
-   Each root also carries the {e contributor} CFDs whose firings shaped the
-   class (for why-provenance); selection-condition facts contribute
-   nothing — they are view-definition leaves. *)
+(* Union-find over attribute names with an optional constant key per
+   root. *)
 module Uf = struct
   type t = {
     parent : (string, string) Hashtbl.t;
     keys : (string, Value.t) Hashtbl.t;
-    contribs : (string, C.t list) Hashtbl.t;
   }
 
   let create attrs =
     let parent = Hashtbl.create 32 in
     List.iter (fun a -> Hashtbl.replace parent a a) attrs;
-    { parent; keys = Hashtbl.create 16; contribs = Hashtbl.create 16 }
+    { parent; keys = Hashtbl.create 16 }
 
   let rec find t a =
     let p = Hashtbl.find t.parent a in
@@ -49,16 +45,6 @@ module Uf = struct
       Hashtbl.replace t.keys r v;
       true
 
-  let contributors t a =
-    Option.value ~default:[] (Hashtbl.find_opt t.contribs (find t a))
-
-  let add_contribs t a cs =
-    if cs <> [] then begin
-      let r = find t a in
-      Hashtbl.replace t.contribs r
-        (cs @ Option.value ~default:[] (Hashtbl.find_opt t.contribs r))
-    end
-
   let union t a b =
     let ra = find t a and rb = find t b in
     if String.equal ra rb then false
@@ -71,11 +57,6 @@ module Uf = struct
       (match ka, kb with
        | None, Some y -> Hashtbl.replace t.keys ra y
        | _ -> ());
-      (match Hashtbl.find_opt t.contribs rb with
-       | Some cs ->
-         Hashtbl.remove t.contribs rb;
-         add_contribs t ra cs
-       | None -> ());
       true
     end
 end
@@ -83,10 +64,6 @@ end
 let compute ~body ~selection ~sigma =
   let names = List.map Attribute.name body in
   let uf = Uf.create names in
-  (* Contributor tracking costs Hashtbl traffic in the fixpoint loop, so
-     it is sampled once here and skipped entirely when provenance is off
-     (classes then report no contributors, which nothing reads). *)
-  let track = Provenance.enabled () in
   try
     (* Seed with the selection condition F (Lemma 4.2). *)
     List.iter
@@ -111,34 +88,12 @@ let compute ~body ~selection ~sigma =
         (fun changed cfd ->
           if C.is_attr_eq cfd then
             match cfd.C.lhs, cfd.C.rhs with
-            | [ (a, _) ], (b, _) ->
-              if Uf.union uf a b then begin
-                if track then Uf.add_contribs uf a [ cfd ];
-                true
-              end
-              else changed
+            | [ (a, _) ], (b, _) -> Uf.union uf a b || changed
             | _ -> changed
           else
             match snd cfd.C.rhs with
             | P.Const v when fires cfd ->
-              if Uf.set_key uf (fst cfd.C.rhs) v then begin
-                (* Snapshot the LHS classes' contributors at fire time: the
-                   keys justifying this firing were established by exactly
-                   those CFDs (and the selection), so the snapshot is a
-                   sound parent set for the new key.  ([set_key] touches
-                   only the key table, so reading the snapshot after it is
-                   equivalent to before.) *)
-                if track then begin
-                  let deps =
-                    List.concat_map
-                      (fun (a, _) -> Uf.contributors uf a)
-                      cfd.C.lhs
-                  in
-                  Uf.add_contribs uf (fst cfd.C.rhs) (cfd :: deps)
-                end;
-                true
-              end
-              else changed
+              Uf.set_key uf (fst cfd.C.rhs) v || changed
             | P.Const _ | P.Wild | P.Svar -> changed)
         false sigma
     in
@@ -154,11 +109,7 @@ let compute ~body ~selection ~sigma =
     let classes =
       Hashtbl.fold
         (fun r members acc ->
-          {
-            attrs = List.sort String.compare members;
-            key = Uf.key uf r;
-            contributors = List.sort_uniq C.compare (Uf.contributors uf r);
-          }
+          { attrs = List.sort String.compare members; key = Uf.key uf r }
           :: acc)
         groups []
     in
@@ -183,17 +134,12 @@ let to_cfds ~view ~y classes =
   List.concat_map
     (fun c ->
       let members = List.filter (fun a -> List.mem a y) c.attrs in
-      let emit cfd =
-        Provenance.record cfd Provenance.Eq_class c.contributors;
-        cfd
-      in
       match c.key with
-      | Some v -> List.map (fun a -> emit (C.const_binding view a v)) members
+      | Some v -> List.map (fun a -> C.const_binding view a v) members
       | None ->
         let rec pairs = function
           | [] -> []
-          | a :: rest ->
-            List.map (fun b -> emit (C.attr_eq view a b)) rest @ pairs rest
+          | a :: rest -> List.map (fun b -> C.attr_eq view a b) rest @ pairs rest
         in
         pairs members)
     classes
@@ -281,7 +227,12 @@ end
 
 let compute_ir ctx ~body ~selection ~sigma =
   let uf = Ufi.borrow ctx (Cfds.Interner.size (Ir.interner ctx)) in
-  let track = Provenance.enabled () in
+  (* Contributor tracking costs list traffic in the fixpoint loop, so it
+     only runs when the run records (classes then report no contributors,
+     which nothing else reads).  Each root carries the CFDs whose firings
+     shaped its class; selection-condition facts contribute nothing —
+     they are view-definition leaves. *)
+  let track = Provenance.records ctx in
   try
     (* Seed with the selection condition F (Lemma 4.2); selection attribute
        names are body attributes, so interning here resolves existing
@@ -316,6 +267,10 @@ let compute_ir ctx ~body ~selection ~sigma =
             match snd ic.Ir.rhs with
             | P.Const v when fires ic ->
               if Ufi.set_key uf (fst ic.Ir.rhs) v then begin
+                (* Snapshot the LHS classes' contributors at fire time: the
+                   keys justifying this firing were established by exactly
+                   those CFDs (and the selection), so the snapshot is a
+                   sound parent set for the new key. *)
                 if track then begin
                   let deps =
                     Array.fold_left
@@ -367,12 +322,11 @@ let representatives_ir classes ~prefer =
     classes
 
 let to_cfds_ir ctx ~view ~y classes =
-  let track = Provenance.enabled () in
   List.concat_map
     (fun c ->
       let members = List.filter y c.iattrs in
       let emit ic =
-        if track then Provenance.record_ir ctx ic Provenance.Eq_class c.icontribs;
+        Provenance.record_ir ctx ic Provenance.Eq_class c.icontribs;
         ic
       in
       match c.ikey with

@@ -13,10 +13,6 @@ open Relational
 type eq_class = {
   attrs : string list;  (** members, sorted *)
   key : Value.t option;  (** the constant all members equal, if known *)
-  contributors : Cfds.Cfd.t list;
-      (** the CFDs (of the already-renamed [sigma]) whose firings shaped
-          this class, sorted and deduplicated — the class's why-provenance.
-          Empty when the class follows from the selection condition alone. *)
 }
 
 type t =
@@ -46,9 +42,7 @@ val representatives :
 (** [EQ2CFD] (Fig. 4): convert the classes, restricted to the view
     attributes [y], into view CFDs on relation [view]: a keyed class yields
     [A → A, (_ ‖ key)] for each member; an unkeyed class yields the
-    attribute-equality CFDs [(A → B, (x ‖ x))].  When {!Provenance}
-    recording is on, each emitted CFD is recorded with its class's
-    contributors as parents. *)
+    attribute-equality CFDs [(A → B, (x ‖ x))]. *)
 val to_cfds : view:string -> y:string list -> eq_class list -> Cfds.Cfd.t list
 
 val pp : t Fmt.t
@@ -56,14 +50,18 @@ val pp : t Fmt.t
 (** {2 The IR path}
 
     The same procedure over interned attribute ids and CFDs: flat-array
-    union-find, contributor lists as {!Ir.t}.  [Propcover.cover] runs this
-    variant; the AST one is kept for external callers and the unit
-    suite. *)
+    union-find.  [Propcover.cover] runs this variant; the AST one is kept
+    for external callers and the unit suite.  Only this path records
+    why-provenance, into the context's recorder ({!Provenance}). *)
 
 type eq_class_ir = {
   iattrs : int list;  (** members, sorted by id *)
   ikey : Value.t option;
   icontribs : Ir.t list;
+      (** the CFDs (of the already-renamed [sigma]) whose firings shaped
+          this class, sorted and deduplicated — the class's
+          why-provenance.  Empty when the context records nothing or the
+          class follows from the selection condition alone. *)
 }
 
 type ir_result =
@@ -88,6 +86,7 @@ val class_of_ir : eq_class_ir list -> int -> eq_class_ir option
 val representatives_ir :
   eq_class_ir list -> prefer:(int -> bool) -> (int * int) list
 
-(** [EQ2CFD] over the IR; [y] is projection membership. *)
+(** [EQ2CFD] over the IR; [y] is projection membership.  Each emitted
+    CFD is recorded with its class's contributors as parents. *)
 val to_cfds_ir :
   Ir.ctx -> view:string -> y:(int -> bool) -> eq_class_ir list -> Ir.t list

@@ -70,28 +70,19 @@ let run ?(options = default_options) views sigma =
           invalid_arg "Fleet.run: views must share one source schema")
       rest;
     let ns = namespace v0.Spc.source sigma in
-    (* Provenance derivations are per-view; no sharing while recording. *)
-    let share = not (Provenance.enabled ()) in
-    let cover_options =
-      {
-        options.cover with
-        Propcover.memo = (if share then Some (memo, ns) else None);
-      }
-    in
+    let cover_options = { options.cover with Propcover.memo = Some (memo, ns) } in
     let one (v : Spc.t) =
       Obs.incr c_views;
       let canon =
-        if not share then None
-        else
-          Obs.with_span s_canon (fun () ->
-              match Canon.canonicalize v with
-              | Error _ -> None
-              | Ok (cv, ren) ->
-                if Canon.verified v cv ren then Some (cv, ren) else None)
+        Obs.with_span s_canon (fun () ->
+            match Canon.canonicalize v with
+            | Error _ -> None
+            | Ok (cv, ren) ->
+              if Canon.verified v cv ren then Some (cv, ren) else None)
       in
       match canon with
       | None ->
-        if share then Obs.incr c_canon_fallbacks;
+        Obs.incr c_canon_fallbacks;
         let r = Propcover.cover ~options:cover_options v sigma in
         {
           view = v;

@@ -18,10 +18,8 @@
     so concurrent hits/misses are safe (first insert wins; duplicate
     computes are bounded by the race window and counted).
 
-    With provenance recording enabled ({!Provenance.set_enabled}), sharing
-    is disabled (every view computes fresh, memo untouched) so [--why]
-    derivations remain per-view complete; canonicalisation is skipped too,
-    keeping derivation labels on the caller's attribute names.
+    The driver records no provenance; a caller wanting one view's
+    derivations runs {!Propcover.cover} on it with a recorder.
 
     Counters: [fleet.views], [fleet.classes], [fleet.cover_hits],
     [fleet.canon_fallbacks]; spans: [fleet.run], [fleet.canonicalise]

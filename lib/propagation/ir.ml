@@ -15,9 +15,33 @@ type t = {
   rhs : int * P.sym;
 }
 
+(* A why-provenance recorder's storage ([Provenance.t]).  It lives here
+   because a context carries the recorder of its run and [Provenance]
+   itself depends on this module; [Provenance] owns every operation. *)
+type rule =
+  | Axiom
+  | Renamed of string
+  | Normalised
+  | Resolvent of string
+  | Eq_class
+  | Rc_constant
+  | Lhs_reduced
+
+type stored = { s_cfd : C.t Lazy.t; s_rule : rule; s_parents : int list }
+
+type arena = {
+  lock : Mutex.t;
+  mutable nodes : stored array;
+  mutable n_nodes : int;
+  by_ir : (int * t, int) Hashtbl.t;
+  by_ast : (C.t, int) Hashtbl.t;
+  mutable indexed : int;
+}
+
 type ctx = {
   interner : I.t;
   stamp : int;
+  recorder : arena option;
   (* ComputeEQ's union-find scratch, keyed by interner id and owned by the
      context so repeated [compute_ir] calls reuse one set of buffers.
      Single-writer like [intern]: only the ctx-owning domain may borrow it
@@ -29,10 +53,11 @@ type ctx = {
 
 let next_stamp = Atomic.make 0
 
-let create_ctx ?size () =
+let create_ctx ?size ?recorder () =
   {
     interner = I.create ?size ();
     stamp = Atomic.fetch_and_add next_stamp 1;
+    recorder;
     uf_parent = [||];
     uf_keys = [||];
     uf_contribs = [||];
@@ -40,6 +65,7 @@ let create_ctx ?size () =
 
 let interner ctx = ctx.interner
 let stamp ctx = ctx.stamp
+let recorder ctx = ctx.recorder
 let intern ctx a = I.intern ctx.interner a
 let name ctx id = I.name ctx.interner id
 

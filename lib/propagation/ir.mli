@@ -21,21 +21,10 @@
     counters, so the test suite can assert the interior of a pipeline run
     performs zero AST↔IR conversions. *)
 
-(** One interning context: an interner plus a unique stamp (used by
-    {!Provenance} to key arenas across contexts). *)
+(** One interning context: an interner, a unique stamp (used by
+    {!Provenance} to key a recorder shared by several contexts) and the
+    run's provenance recorder, if any. *)
 type ctx
-
-val create_ctx : ?size:int -> unit -> ctx
-val interner : ctx -> Cfds.Interner.t
-val stamp : ctx -> int
-
-(** [intern ctx a] is the dense id of attribute name [a].  Single-writer:
-    only the context-creating domain may call this. *)
-val intern : ctx -> string -> int
-
-(** [name ctx id] resolves an id back to its name (read-only, safe from
-    pool workers). *)
-val name : ctx -> int -> string
 
 (** An interned CFD, canonical by construction: the LHS is sorted by
     attribute id with distinct ids.  The fields are readable (the engine's
@@ -46,6 +35,51 @@ type t = private {
   lhs : (int * Cfds.Pattern.sym) array;  (** id-sorted, ids distinct *)
   rhs : int * Cfds.Pattern.sym;
 }
+
+(** {2 Derivation records}
+
+    The storage of a why-provenance recorder ({!Provenance.t}), declared
+    here so that a context can carry the recorder of its run: the IR
+    record sites reach it through their [ctx] argument, and a run
+    without one records nothing.  {!Provenance} owns every operation on
+    it; see {!Provenance.rule} for the rules. *)
+
+type rule =
+  | Axiom
+  | Renamed of string
+  | Normalised
+  | Resolvent of string
+  | Eq_class
+  | Rc_constant
+  | Lhs_reduced
+
+type stored = { s_cfd : Cfds.Cfd.t Lazy.t; s_rule : rule; s_parents : int list }
+
+type arena = {
+  lock : Mutex.t;
+  mutable nodes : stored array;
+  mutable n_nodes : int;
+  by_ir : (int * t, int) Hashtbl.t;  (** (context stamp, CFD) -> node id *)
+  by_ast : (Cfds.Cfd.t, int) Hashtbl.t;
+      (** canonical AST -> node id, filled on demand up to [indexed] *)
+  mutable indexed : int;
+}
+
+(** [create_ctx ?recorder ()] — [recorder] receives the derivations of
+    every stage run under the context. *)
+val create_ctx : ?size:int -> ?recorder:arena -> unit -> ctx
+
+val recorder : ctx -> arena option
+val interner : ctx -> Cfds.Interner.t
+val stamp : ctx -> int
+
+(** [intern ctx a] is the dense id of attribute name [a].  Single-writer:
+    only the context-creating domain may call this. *)
+val intern : ctx -> string -> int
+
+(** [name ctx id] resolves an id back to its name (read-only, safe from
+    pool workers). *)
+val name : ctx -> int -> string
 
 (** [scratch_uf ctx n] borrows the context-owned union-find scratch used
     by ComputeEQ, reset over ids [0 .. n-1]: parents point at themselves,

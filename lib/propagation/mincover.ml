@@ -6,13 +6,9 @@ let c_removed = Obs.counter "mincover.cfds_removed"
 let c_lhs_removed = Obs.counter "mincover.lhs_attrs_removed"
 let s_cover = Obs.span "mincover.minimal_cover"
 
-let reduce_lhs ?rules compiled phi =
+let reduce_lhs compiled phi =
   if C.is_attr_eq phi then phi
   else
-    (* A reduction step is justified not by [phi] alone but by the other
-       CFDs that imply the smaller one — provenance must cite them, so each
-       accepted shrink records the chase's fired-rule witness as parents. *)
-    let witness = if Provenance.enabled () then rules else None in
     let rec go phi tried =
       let candidates =
         List.filter (fun (a, _) -> not (List.mem a tried)) phi.C.lhs
@@ -26,22 +22,8 @@ let reduce_lhs ?rules compiled phi =
             phi.C.rhs
         in
         Obs.incr c_tested;
-        let fired =
-          match witness with
-          | None -> None
-          | Some _ -> Some (Bytes.make (Fast_impl.num_rules compiled) '\000')
-        in
-        if Fast_impl.implies ?fired compiled smaller then begin
+        if Fast_impl.implies compiled smaller then begin
           Obs.incr c_lhs_removed;
-          (match witness, fired with
-           | Some rs, Some b ->
-             let parents = ref [] in
-             Bytes.iteri
-               (fun i ch -> if ch = '\001' then parents := rs.(i) :: !parents)
-               b;
-             Provenance.record smaller Provenance.Lhs_reduced
-               (phi :: List.rev !parents)
-           | _ -> ());
           go smaller tried
         end
         else go phi (a :: tried)
@@ -52,21 +34,9 @@ let minimal_cover schema sigma =
   Obs.with_span s_cover @@ fun () ->
   (* CFDs are interpreted over [schema], whatever relation name they carry
      (RBR's pseudo body relation re-homes them). *)
+  let rel = Schema.relation_name schema in
   let sigma =
-    List.map
-      (fun c ->
-        let c' = C.with_rel c (Schema.relation_name schema) in
-        Provenance.alias c' (Provenance.Renamed "rehomed") c;
-        c')
-      sigma
-  in
-  let sigma =
-    List.map
-      (fun c ->
-        let c' = C.strip_redundant_wildcards c in
-        Provenance.alias c' Provenance.Normalised c;
-        c')
-      sigma
+    List.map (fun c -> C.strip_redundant_wildcards (C.with_rel c rel)) sigma
   in
   let sigma = List.filter (fun c -> not (C.is_trivial c)) sigma in
   let sigma = List.sort_uniq C.compare (List.map C.canonical sigma) in
@@ -75,10 +45,7 @@ let minimal_cover schema sigma =
      against the original (equivalent) set stays correct, which lets us
      compile it once. *)
   let compiled = Fast_impl.compile schema sigma in
-  let rules =
-    if Provenance.enabled () then Some (Array.of_list sigma) else None
-  in
-  let sigma = List.map (fun phi -> reduce_lhs ?rules compiled phi) sigma in
+  let sigma = List.map (reduce_lhs compiled) sigma in
   let sigma = List.sort_uniq C.compare sigma in
   (* Drop CFDs implied by the others.  One compile of the reduced set (rule
      i ↔ element i), then leave-one-out via the rule mask: clearing a bit is
@@ -145,7 +112,10 @@ let prune_partitioned ?pool schema ~chunk sigma =
 let reduce_lhs_ir ctx space compiled rules i iphi =
   if Ir.is_attr_eq iphi then iphi
   else
-    let track = Provenance.enabled () in
+    (* A reduction step is justified not by [iphi] alone but by the other
+       CFDs that imply the smaller one — provenance must cite them, so
+       each accepted shrink records the chase's fired-rule witness. *)
+    let track = Provenance.records ctx in
     let rec go iphi tried =
       let candidate =
         Array.find_opt (fun (a, _) -> not (List.mem a tried)) iphi.Ir.lhs

@@ -44,7 +44,9 @@ val prune_partitioned :
     reuses them through the mask.  Unlike {!minimal_cover} there is no
     relation re-homing (the pipeline interior keeps one uniform relation
     per site).  Never interns, so it is safe on pool workers with a
-    prebuilt [space]. *)
+    prebuilt [space].  Its normalisation and LHS-reduction steps (with
+    the chase's fired-rule witness) are recorded into [ctx]'s provenance
+    recorder, if it has one; the AST functions above record nothing. *)
 val minimal_cover_ir : Ir.ctx -> Ir.space -> Ir.t list -> Ir.t list
 
 (** [slice_key ~ns rel sigma_r] is the memo key {!minimal_cover_db_ir}
@@ -53,13 +55,6 @@ val minimal_cover_ir : Ir.ctx -> Ir.space -> Ir.t list -> Ir.t list
     each CFD).  Exposed so a caller can probe the memo for a relation's
     current slice without re-running line 1. *)
 val slice_key : ns:string -> string -> Cfds.Cfd.t list -> string
-
-(** [slice_digest_ir ctx g] digests a working set of interned CFDs at the
-    IR level (through [Ir.name] — no [to_ast] edge), byte-compatible with
-    [Memo.digest_cfds] over the canonical ASTs.  The Σ_R half of
-    {!slice_key}; also keys {!Rbr}'s cached prune rounds, where it pins
-    every id, symbol and relation of the set being pruned. *)
-val slice_digest_ir : Ir.ctx -> Ir.t list -> string
 
 (** [minimal_cover_db_ir ctx db isigma] groups by relation and covers each
     group over its schema's space.  With [memo], each relation's slice

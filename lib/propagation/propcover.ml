@@ -21,8 +21,6 @@ type options = {
   rbr_order : [ `Min_degree | `Given ];
   pool : Parallel.Pool.t option;
   memo : (Memo.t * string) option;
-  memo_results : bool;
-  rbr_delta : Rbr.delta option;
 }
 
 (* The paper's own implementation partitions the working set and minimises
@@ -35,8 +33,6 @@ let default_options =
     rbr_order = `Min_degree;
     pool = None;
     memo = None;
-    memo_results = false;
-    rbr_delta = None;
   }
 
 type result = {
@@ -59,20 +55,15 @@ let rename_sources (v : Spc.t) sigma =
       sigma
       |> List.filter (fun c -> String.equal c.C.rel a.Spc.base)
       |> List.filter_map (fun c ->
-             match C.rename_attrs c map with
-             | None -> None
-             | Some c' ->
-               let c' = C.with_rel c' v.Spc.name in
-               Provenance.record c'
-                 (Provenance.Renamed ("view atom " ^ a.Spc.base))
-                 [ c ];
-               Some c'))
+             Option.map
+               (fun c' -> C.with_rel c' v.Spc.name)
+               (C.rename_attrs c map)))
     v.Spc.atoms
 
 (* Lines 5-6: push the source CFDs through the renaming ρ_j of each view
    atom, onto the interned body-attribute namespace. *)
 let rename_sources_ir ctx (v : Spc.t) isigma =
-  let prov = Provenance.enabled () in
+  let prov = Provenance.records ctx in
   List.concat_map
     (fun (a : Spc.atom) ->
       let base = Schema.find v.Spc.source a.Spc.base in
@@ -164,9 +155,7 @@ let intern_universe ctx (v : Spc.t) =
 (* Everything a cached cover depends on besides Σ: the view definition
    (atoms, selection, constants, projection) and every option that can
    change the computed cover's bytes.  The pool is deliberately absent —
-   [Pool.map] is order-preserving, so domain count never changes results.
-   [rbr_delta] is absent for the same reason: the derivation store caches
-   pure sub-computations, so a seeded run's bytes equal a cold run's. *)
+   [Pool.map] is order-preserving, so domain count never changes results. *)
 let instance_digest options (v : Spc.t) =
   let b = Buffer.create 256 in
   Buffer.add_string b (Memo.schema_string v.Spc.source);
@@ -220,13 +209,6 @@ let instance_digest options (v : Spc.t) =
        (match options.rbr_order with `Min_degree -> "D" | `Given -> "G"));
   Memo.digest_string (Buffer.contents b)
 
-(* Line 1: Σ := MinCover(Σ), one independent slice per relation.
-   Provenance derivations must bottom out in this run's own MinCover
-   steps, so the shared-slice cache is bypassed while --why is on. *)
-let initial_mincover ?memo ctx (v : Spc.t) isigma =
-  let memo = if Provenance.enabled () then None else memo in
-  Mincover.minimal_cover_db_ir ?memo ctx v.Spc.source isigma
-
 let slice ?memo (v : Spc.t) rel sigma =
   let ctx = Ir.create_ctx () in
   intern_universe ctx v;
@@ -235,15 +217,17 @@ let slice ?memo (v : Spc.t) rel sigma =
       (fun c -> if String.equal c.C.rel rel then Some (Ir.of_ast ctx c) else None)
       sigma
   in
-  List.map (Ir.to_ast ctx) (initial_mincover ?memo ctx v isigma)
+  Mincover.minimal_cover_db_ir ?memo ctx v.Spc.source isigma
+  |> List.map (Ir.to_ast ctx)
 
 (* The pipeline interior runs entirely on the IR: one context per [cover]
    call interns every attribute name touched (source, renamed, view), the
    AST is converted exactly once per relevant input CFD on the way in and
    once per cover member on the way out — the [ir.of_ast]/[ir.to_ast]
-   counters pin this down in the test suite. *)
-let compute_cover options (v : Spc.t) sigma =
-  let ctx = Ir.create_ctx () in
+   counters pin this down in the test suite.  The context carries the
+   run's provenance recorder, if any, to every record site. *)
+let compute_cover ?provenance options (v : Spc.t) sigma =
+  let ctx = Ir.create_ctx ?recorder:provenance () in
   intern_universe ctx v;
   (* Relevance: lines 5-6 keep only the CFDs of relations some atom reads,
      and line 1 minimises each relation on its own, so the CFDs of every
@@ -261,8 +245,10 @@ let compute_cover options (v : Spc.t) sigma =
   let isigma =
     if options.skip_initial_mincover then isigma
     else
+      (* Line 1: Σ := MinCover(Σ), one independent slice per relation. *)
       Obs.with_span_traced s_initial_mincover (fun () ->
-          initial_mincover ?memo:options.memo ctx v isigma)
+          Mincover.minimal_cover_db_ir ?memo:options.memo ctx v.Spc.source
+            isigma)
   in
   (* Lines 5-6 first (the renamed CFDs feed ComputeEQ's closure). *)
   let sigma_v =
@@ -289,7 +275,7 @@ let compute_cover options (v : Spc.t) sigma =
     (* The substitution is justified by the classes that merged each
        renamed attribute with its representative — their contributors are
        extra provenance parents beside the CFD itself. *)
-    let prov = Provenance.enabled () in
+    let prov = Provenance.records ctx in
     let sigma_v =
       List.filter_map
         (fun ic ->
@@ -342,7 +328,7 @@ let compute_cover options (v : Spc.t) sigma =
     in
     let sigma_c, completeness =
       Obs.with_span_traced s_rbr (fun () ->
-          Rbr.reduce_ir ~ctx ?prune ?pool:options.pool ?delta:options.rbr_delta
+          Rbr.reduce_ir ~ctx ?prune ?pool:options.pool
             ?max_size:options.max_intermediate ~order:options.rbr_order
             sigma_v ~drop_ids)
     in
@@ -386,7 +372,7 @@ let compute_cover options (v : Spc.t) sigma =
       always_empty = false;
     }
 
-let cover ?(options = default_options) (v : Spc.t) sigma =
+let cover ?(options = default_options) ?provenance (v : Spc.t) sigma =
   Obs.with_span_traced s_cover @@ fun () ->
   Obs.incr c_covers;
   List.iter
@@ -395,32 +381,14 @@ let cover ?(options = default_options) (v : Spc.t) sigma =
         invalid_arg
           (Printf.sprintf "Propcover: CFD on unknown source relation %s" c.C.rel))
     sigma;
-  match options.memo with
-  | Some (m, ns) when options.memo_results && not (Provenance.enabled ()) ->
-    (* A full-result cache: the cover is a deterministic function of
-       (view, options, Σ as given), so a key over all three is trivially
-       byte-identical on a hit.  Resident sessions lean on this for
-       Σ round-trips (add then remove of the same CFD).  Bypassed while
-       provenance records, like the slice cache: --why derivations must
-       bottom out in the run's own steps. *)
-    let key =
-      "tail:" ^ ns ^ ":" ^ instance_digest options v ^ ":"
-      ^ Memo.digest_cfds sigma
-    in
-    (match
-       Memo.find_or_compute m key (fun () ->
-           let r = compute_cover options v sigma in
-           Memo.Cover
-             {
-               cover = r.cover;
-               complete = r.complete;
-               always_empty = r.always_empty;
-             })
-     with
-     | Memo.Cover { cover; complete; always_empty }, _ ->
-       { cover; complete; always_empty }
-     | (Memo.Cfds _ | Memo.Verdict _), _ -> compute_cover options v sigma)
-  | _ -> compute_cover options v sigma
+  (* The one bypass rule: a recording run's derivations must bottom out
+     in its own MinCover steps, so it never reuses a cached slice. *)
+  let options =
+    match provenance with
+    | Some _ -> { options with memo = None }
+    | None -> options
+  in
+  compute_cover ?provenance options v sigma
 
 let is_propagated_via_cover v sigma phi =
   let r = cover v sigma in
@@ -462,15 +430,7 @@ let cover_spcu ?(options = default_options) (view : Spcu.t) sigma =
           if r.always_empty then []
           else
             r.cover
-            @ List.filter_map
-                (fun phi ->
-                  match condition_on_constants b phi with
-                  | None -> None
-                  | Some phi' ->
-                    Provenance.record phi'
-                      (Provenance.Conditioned b.Spc.name) [ phi ];
-                    Some phi')
-                r.cover)
+            @ List.filter_map (condition_on_constants b) r.cover)
         branch_results
     in
     let candidates = List.sort_uniq C.compare (List.map C.canonical candidates) in

@@ -39,26 +39,11 @@ type options = {
       (** domain pool for the partitioned pruning inside RBR; [None] (the
           default) keeps everything on the calling domain *)
   memo : (Memo.t * string) option;
-      (** cross-view memo + key namespace for the fleet driver: line 1's
-          per-relation MinCover(Σ) slices are cached/reused through it
-          (see {!Mincover.minimal_cover_db_ir}).  [None] (the default)
-          changes nothing; the memo is also bypassed while provenance
-          recording is enabled so [--why] derivations stay complete *)
-  memo_results : bool;
-      (** with [memo] set, additionally cache the {e final result} under
-          ["tail:<ns>:<instance digest>:<digest Σ>"] — a hit skips the
-          whole pipeline.  Keys pin the view definition, every
-          cover-affecting option, and Σ as given, so hits are trivially
-          byte-identical.  Off by default *)
-  rbr_delta : Rbr.delta option;
-      (** derivation store threaded into {!Rbr.reduce_ir}: successive
-          covers sharing the store seed RBR's buckets from each other's
-          surviving resolvents and replay unchanged prune rounds.  Pure
-          sub-computation caching — never changes the cover's bytes (so
-          it is absent from the instance digest) — but sound only when
-          every sharing call covers the same (schema, view) pair, as the
-          resident sessions do.  Bypassed while provenance records.
-          [None] (the default) derives everything from scratch *)
+      (** the line-1 slice memo + key namespace, shared by the fleet
+          driver's views and the serve sessions: line 1's per-relation
+          MinCover(Σ) slices are cached/reused through it (see
+          {!Mincover.minimal_cover_db_ir}).  [None] (the default) changes
+          nothing; a run given a provenance recorder ignores it *)
 }
 
 val default_options : options
@@ -66,8 +51,8 @@ val default_options : options
 (** [instance_digest options v] digests everything a cached artefact of a
     [cover] run depends on besides Σ: the source schema, the full view
     definition, and every cover-affecting option (the pool is excluded —
-    [Parallel.Pool.map] is order-preserving).  The serve layer reuses it
-    to scope per-session verdict keys. *)
+    [Parallel.Pool.map] is order-preserving).  The serve layer keys its
+    full-result cache and its per-session verdicts with it. *)
 val instance_digest : options -> Spc.t -> string
 
 type result = {
@@ -76,17 +61,25 @@ type result = {
   always_empty : bool;  (** [ComputeEQ] returned ⊥ (Lemma 4.5) *)
 }
 
-(** [cover ?options v sigma] runs [PropCFD_SPC].
-    Raises [Invalid_argument] when some source CFD is not defined on a
-    source relation of [v]. *)
-val cover : ?options:options -> Spc.t -> Cfds.Cfd.t list -> result
+(** [cover ?options ?provenance v sigma] runs [PropCFD_SPC].  Given
+    [provenance], the run records the derivation of every CFD it derives
+    into that recorder (see {!Provenance}) and ignores [options.memo], so
+    the derivations bottom out in the run's own steps; the cover is the
+    same either way.  Raises [Invalid_argument] when some source CFD is
+    not defined on a source relation of [v]. *)
+val cover :
+  ?options:options ->
+  ?provenance:Provenance.t ->
+  Spc.t ->
+  Cfds.Cfd.t list ->
+  result
 
 (** [slice ?memo v rel sigma] is line 1's output for the one relation
     [rel]: [MinCover] of the CFDs of [sigma] on [rel], with the same
     interning as {!cover} and, given [memo], the same cache key
     ({!Mincover.slice_key}), so a miss files the slice for the next
     [cover] run.  The serve layer's delta planner compares slices with
-    it.  Like {!cover}, it bypasses the memo while provenance records. *)
+    it.  It never records provenance. *)
 val slice :
   ?memo:Memo.t * string -> Spc.t -> string -> Cfds.Cfd.t list -> Cfds.Cfd.t list
 

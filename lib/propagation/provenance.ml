@@ -1,6 +1,6 @@
 module C = Cfds.Cfd
 
-type rule =
+type rule = Ir.rule =
   | Axiom
   | Renamed of string
   | Normalised
@@ -8,172 +8,119 @@ type rule =
   | Eq_class
   | Rc_constant
   | Lhs_reduced
-  | Conditioned of string
 
 type node = { id : int; cfd : C.t; rule : rule; parents : int list }
 
-(* --- the arena ----------------------------------------------------------- *)
+(* --- the recorder -------------------------------------------------------- *)
 
-(* One global arena, mirroring [Obs]: an atomic enabled flag guards every
-   record site, so the disabled hot path pays one load and branch.  Nodes
-   are immutable; the arena only ever appends.  A CFD derived more than
-   once keeps its first derivation, so parent ids are always strictly
-   smaller than the child's and the structure is a DAG by construction.  A
-   mutex serialises writers (the partitioned MinCover prune records from
-   pool workers).
+(* One arena per run, carried by the run's [Ir.ctx]: a stage whose context
+   has no recorder skips every record site.  Nodes are immutable; the
+   arena only ever appends.  A CFD derived more than once keeps its first
+   derivation, so parent ids are always strictly smaller than the child's
+   and the structure is a DAG by construction.  The lock serialises
+   writers (the partitioned MinCover prune records from pool workers).
 
-   The pipeline records interned CFDs ([record_ir]), keyed on
-   (context stamp, Ir.t) — the IR is canonical by construction, so no
-   re-sorting of string ASTs happens per record.  Each node holds its AST
-   lazily (forced only at the query/render edges); the AST-keyed index is
-   materialised on demand: any AST-level operation first folds the pending
-   IR-recorded nodes into it, first derivation winning on collisions.  The
-   [materialized] watermark is a prefix: AST-path allocations only happen
-   right after a materialisation pass, IR-path allocations append behind
-   the watermark. *)
+   Nodes are keyed on (context stamp, Ir.t) — the IR is canonical by
+   construction, so no re-sorting of string ASTs happens per record — and
+   hold their AST lazily (forced only at the query/render edges).  The
+   AST-keyed index is filled on demand: every query first indexes the
+   nodes recorded since the last one, first derivation winning. *)
 
-type stored = { s_cfd : C.t Lazy.t; s_rule : rule; s_parents : int list }
+type t = Ir.arena
 
-let enabled_flag = Atomic.make false
-let enabled () = Atomic.get enabled_flag
+let create () =
+  {
+    Ir.lock = Mutex.create ();
+    nodes = [||];
+    n_nodes = 0;
+    by_ir = Hashtbl.create 256;
+    by_ast = Hashtbl.create 256;
+    indexed = 0;
+  }
 
-let mutex = Mutex.create ()
-let nodes : stored array ref = ref [||]
-let n_nodes = ref 0
-let index : (C.t, int) Hashtbl.t = Hashtbl.create 256
-let ir_index : (int * Ir.t, int) Hashtbl.t = Hashtbl.create 256
-let materialized = ref 0
+let records ctx = Option.is_some (Ir.recorder ctx)
 
-let reset () =
-  Mutex.lock mutex;
-  nodes := [||];
-  n_nodes := 0;
-  Hashtbl.reset index;
-  Hashtbl.reset ir_index;
-  materialized := 0;
-  Mutex.unlock mutex
-
-let set_enabled on =
-  if on then begin
-    reset ();
-    Atomic.set enabled_flag true
-  end
-  else Atomic.set enabled_flag false
-
-(* Callers hold [mutex]. *)
-let alloc_locked s_cfd rule parents =
-  let id = !n_nodes in
-  if id >= Array.length !nodes then begin
-    let a =
+(* Callers hold the lock. *)
+let alloc_locked (a : t) ctx ic rule parents =
+  let id = a.n_nodes in
+  let s_cfd = lazy (Ir.to_ast ctx ic) in
+  if id >= Array.length a.nodes then begin
+    let nodes =
       Array.make
-        (max 256 (2 * Array.length !nodes))
-        { s_cfd; s_rule = Axiom; s_parents = [] }
+        (max 256 (2 * Array.length a.nodes))
+        { Ir.s_cfd; s_rule = Axiom; s_parents = [] }
     in
-    Array.blit !nodes 0 a 0 id;
-    nodes := a
+    Array.blit a.nodes 0 nodes 0 id;
+    a.nodes <- nodes
   end;
-  !nodes.(id) <- { s_cfd; s_rule = rule; s_parents = parents };
-  n_nodes := id + 1;
+  a.nodes.(id) <- { s_cfd; s_rule = rule; s_parents = parents };
+  a.n_nodes <- id + 1;
+  Hashtbl.replace a.by_ir (Ir.stamp ctx, ic) id;
   id
 
-let materialize_locked () =
-  for id = !materialized to !n_nodes - 1 do
-    let cfd = Lazy.force !nodes.(id).s_cfd in
-    if not (Hashtbl.mem index cfd) then Hashtbl.replace index cfd id
-  done;
-  materialized := !n_nodes
-
-(* AST-path allocation: runs right after [materialize_locked], so indexing
-   the new node keeps the watermark a prefix. *)
-let alloc_ast_locked cfd rule parents =
-  let id = alloc_locked (Lazy.from_val cfd) rule parents in
-  Hashtbl.replace index cfd id;
-  materialized := !n_nodes;
-  id
-
-let intern_locked cfd =
-  match Hashtbl.find_opt index cfd with
+let intern_locked (a : t) ctx ic =
+  match Hashtbl.find_opt a.by_ir (Ir.stamp ctx, ic) with
   | Some id -> id
-  | None -> alloc_ast_locked cfd Axiom []
-
-let record cfd rule parents =
-  if Atomic.get enabled_flag then begin
-    let cfd = C.canonical cfd in
-    Mutex.lock mutex;
-    materialize_locked ();
-    (* Parents first: their ids end up strictly below the child's. *)
-    let pids = List.map (fun p -> intern_locked (C.canonical p)) parents in
-    if not (Hashtbl.mem index cfd) then ignore (alloc_ast_locked cfd rule pids);
-    Mutex.unlock mutex
-  end
-
-let record_axiom cfd = record cfd Axiom []
-let record_axioms cfds = List.iter record_axiom cfds
-
-(* [alias child rule parent]: a unary rewriting step (renaming,
-   normalisation); skipped when the rewrite was the identity. *)
-let alias child rule parent =
-  if Atomic.get enabled_flag && C.compare (C.canonical child) (C.canonical parent) <> 0
-  then record child rule [ parent ]
-
-(* --- the IR path --------------------------------------------------------- *)
-
-let alloc_ir_locked ctx ic rule parents =
-  let id = alloc_locked (lazy (Ir.to_ast ctx ic)) rule parents in
-  Hashtbl.replace ir_index (Ir.stamp ctx, ic) id;
-  id
-
-let intern_ir_locked ctx ic =
-  match Hashtbl.find_opt ir_index (Ir.stamp ctx, ic) with
-  | Some id -> id
-  | None -> alloc_ir_locked ctx ic Axiom []
+  | None -> alloc_locked a ctx ic Axiom []
 
 let record_ir ctx ic rule parents =
-  if Atomic.get enabled_flag then begin
-    Mutex.lock mutex;
-    let pids = List.map (intern_ir_locked ctx) parents in
-    if not (Hashtbl.mem ir_index (Ir.stamp ctx, ic)) then
-      ignore (alloc_ir_locked ctx ic rule pids);
-    Mutex.unlock mutex
-  end
+  match Ir.recorder ctx with
+  | None -> ()
+  | Some a ->
+    Mutex.lock a.lock;
+    (* Parents first: their ids end up strictly below the child's. *)
+    let pids = List.map (intern_locked a ctx) parents in
+    if not (Hashtbl.mem a.by_ir (Ir.stamp ctx, ic)) then
+      ignore (alloc_locked a ctx ic rule pids);
+    Mutex.unlock a.lock
 
 let record_axiom_ir ctx ic = record_ir ctx ic Axiom []
 let record_axioms_ir ctx ics = List.iter (record_axiom_ir ctx) ics
 
+(* [alias_ir ctx child rule parent]: a unary rewriting step (renaming,
+   normalisation); skipped when the rewrite was the identity. *)
 let alias_ir ctx child rule parent =
-  if Atomic.get enabled_flag && not (Ir.equal child parent) then
+  if records ctx && not (Ir.equal child parent) then
     record_ir ctx child rule [ parent ]
 
 (* --- queries ------------------------------------------------------------- *)
 
-let size () =
-  Mutex.lock mutex;
-  let n = !n_nodes in
-  Mutex.unlock mutex;
+let size (a : t) =
+  Mutex.lock a.lock;
+  let n = a.n_nodes in
+  Mutex.unlock a.lock;
   n
 
-let node_locked id =
-  let s = !nodes.(id) in
+(* Callers hold the lock. *)
+let index_locked (a : t) =
+  for id = a.indexed to a.n_nodes - 1 do
+    let cfd = Lazy.force a.nodes.(id).s_cfd in
+    if not (Hashtbl.mem a.by_ast cfd) then Hashtbl.replace a.by_ast cfd id
+  done;
+  a.indexed <- a.n_nodes
+
+let node_locked (a : t) id =
+  let s = a.nodes.(id) in
   { id; cfd = Lazy.force s.s_cfd; rule = s.s_rule; parents = s.s_parents }
 
-let find cfd =
-  Mutex.lock mutex;
-  materialize_locked ();
+let find (a : t) cfd =
+  Mutex.lock a.lock;
+  index_locked a;
   let r =
-    Option.map node_locked (Hashtbl.find_opt index (C.canonical cfd))
+    Option.map (node_locked a) (Hashtbl.find_opt a.by_ast (C.canonical cfd))
   in
-  Mutex.unlock mutex;
+  Mutex.unlock a.lock;
   r
 
-let node id =
-  Mutex.lock mutex;
-  if id < 0 || id >= !n_nodes then begin
-    Mutex.unlock mutex;
+let node (a : t) id =
+  Mutex.lock a.lock;
+  if id < 0 || id >= a.n_nodes then begin
+    Mutex.unlock a.lock;
     invalid_arg "Provenance.node"
   end
   else begin
-    let n = node_locked id in
-    Mutex.unlock mutex;
+    let n = node_locked a id in
+    Mutex.unlock a.lock;
     n
   end
 
@@ -181,8 +128,8 @@ let node id =
    on deep DAGs, and a multiset multiplicity only needs to stay ordered. *)
 let sat_add a b = if a > max_int - b then max_int else a + b
 
-let sources cfd =
-  match find cfd with
+let sources a cfd =
+  match find a cfd with
   | None -> []
   | Some root ->
     (* Memoised DAG walk: per node, the multiset of Axiom leaves below it
@@ -192,7 +139,7 @@ let sources cfd =
       match Hashtbl.find_opt memo id with
       | Some m -> m
       | None ->
-        let n = node id in
+        let n = node a id in
         let m = Hashtbl.create 8 in
         (match n.rule, n.parents with
          | Axiom, _ -> Hashtbl.replace m id 1
@@ -210,15 +157,9 @@ let sources cfd =
         m
     in
     Hashtbl.fold
-      (fun leaf count acc -> ((node leaf).cfd, count) :: acc)
+      (fun leaf count acc -> ((node a leaf).cfd, count) :: acc)
       (leaves root.id) []
     |> List.sort (fun (a, _) (b, _) -> C.compare a b)
-
-let dependents ~cover axiom =
-  List.filter
-    (fun member ->
-      List.exists (fun (src, _) -> C.equal src axiom) (sources member))
-    cover
 
 let rule_label = function
   | Axiom -> "source"
@@ -228,14 +169,13 @@ let rule_label = function
   | Eq_class -> "equivalence class (ComputeEQ)"
   | Rc_constant -> "view constant"
   | Lhs_reduced -> "LHS reduction (MinCover)"
-  | Conditioned b -> Printf.sprintf "conditioned on branch %s" b
 
 (* --- rendering ----------------------------------------------------------- *)
 
 let default_pp_cfd = C.pp
 
-let pp_tree ?(pp_cfd = default_pp_cfd) ?(max_lines = 200) ppf cfd =
-  match find cfd with
+let pp_tree ?(pp_cfd = default_pp_cfd) ?(max_lines = 200) a ppf cfd =
+  match find a cfd with
   | None -> Fmt.pf ppf "%a  [no recorded derivation]@." pp_cfd cfd
   | Some root ->
     let budget = ref max_lines in
@@ -255,7 +195,7 @@ let pp_tree ?(pp_cfd = default_pp_cfd) ?(max_lines = 200) ppf cfd =
               let tee, pad =
                 if i = last then ("`- ", "   ") else ("|- ", "|  ")
               in
-              go (child_prefix ^ tee) (child_prefix ^ pad) (node p))
+              go (child_prefix ^ tee) (child_prefix ^ pad) (node a p))
             ps
         end
       end
@@ -264,7 +204,7 @@ let pp_tree ?(pp_cfd = default_pp_cfd) ?(max_lines = 200) ppf cfd =
 
 (* JSON: the reachable sub-DAG of the given roots plus, per root, its node
    id and source multiset. *)
-let to_json ?(pp_cfd = default_pp_cfd) roots =
+let to_json ?(pp_cfd = default_pp_cfd) a roots =
   let b = Buffer.create 1024 in
   let escape s =
     let eb = Buffer.create (String.length s + 8) in
@@ -285,10 +225,10 @@ let to_json ?(pp_cfd = default_pp_cfd) roots =
   let rec visit id =
     if not (Hashtbl.mem reachable id) then begin
       Hashtbl.replace reachable id ();
-      List.iter visit (node id).parents
+      List.iter visit (node a id).parents
     end
   in
-  let root_nodes = List.map find roots in
+  let root_nodes = List.map (find a) roots in
   List.iter (function Some n -> visit n.id | None -> ()) root_nodes;
   Buffer.add_string b "{\"cover\": [";
   List.iteri
@@ -307,7 +247,7 @@ let to_json ?(pp_cfd = default_pp_cfd) roots =
             Buffer.add_string b
               (Printf.sprintf "{\"cfd\": \"%s\", \"count\": %d}" (cfd_str src)
                  count))
-          (sources cfd);
+          (sources a cfd);
         Buffer.add_string b "]}")
     (List.combine roots root_nodes);
   Buffer.add_string b "\n  ], \"nodes\": [";
@@ -315,7 +255,7 @@ let to_json ?(pp_cfd = default_pp_cfd) roots =
   List.iteri
     (fun i id ->
       if i > 0 then Buffer.add_string b ",";
-      let n = node id in
+      let n = node a id in
       Buffer.add_string b
         (Printf.sprintf
            "\n    {\"id\": %d, \"cfd\": \"%s\", \"rule\": \"%s\", \"parents\": [%s]}"

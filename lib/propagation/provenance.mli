@@ -1,36 +1,37 @@
-(** Why-provenance for the propagation cover: a global arena of immutable
+(** Why-provenance for the propagation cover: a recorder of immutable
     derivation nodes recording {e how} every CFD flowing through
     [PropCFD_SPC] was obtained, so each member of the final cover maps
     back to the multiset of source CFDs (members of Σ) it was derived
     from.
 
-    Recording is off by default and guarded by one atomic flag — every
-    instrumentation site in the pipeline ({!Rbr} resolvents, {!Compute_eq}
-    classes, {!Mincover} LHS reductions, the renaming/normalisation steps
-    of {!Propcover}) pays a single load-and-branch when disabled, and the
-    covers computed are identical either way (checked by the transparency
-    property in the test suite).
+    A recorder is a value owned by the run that fills it: pass one to
+    {!Propcover.cover} ([?provenance]) and that run's {!Ir.ctx} carries
+    it to every record site ({!Rbr} resolvents, {!Compute_eq} classes,
+    {!Mincover} LHS reductions, the renaming/normalisation steps of
+    {!Propcover}).  A run without one pays a single test of its context
+    per site, and the covers computed are identical either way (checked
+    by the transparency property in the test suite).  Runs on different
+    recorders never see each other, so they may execute concurrently.
 
     CFDs are interned by canonical form: a CFD derived more than once
     keeps its {e first} derivation, parents are interned before children,
     and node ids strictly decrease from child to parent — the arena is a
-    DAG by construction.  Writers are serialised by a mutex (the
-    partitioned prune records from pool workers).
+    DAG by construction.  Writers are serialised by the recorder's lock
+    (the partitioned prune records from pool workers).
 
-    The pipeline interior records {e interned} CFDs ({!record_ir}): the
-    arena keys them on (context stamp, {!Ir.t}) — canonical ids, no
-    re-sorting of string ASTs per record — and holds each node's AST
-    lazily.  The AST is only produced at the query/render edges ({!find},
-    {!node}, {!sources}, {!pp_tree}, {!to_json} and the AST-level record
-    functions), where pending IR-recorded nodes are folded into the
-    AST-keyed index on demand, first derivation winning. *)
+    The pipeline records {e interned} CFDs: the arena keys them on
+    (context stamp, {!Ir.t}) — canonical ids, no re-sorting of string
+    ASTs per record — and holds each node's AST lazily.  The AST is only
+    produced at the query/render edges ({!find}, {!node}, {!sources},
+    {!pp_tree}, {!to_json}), which index the nodes recorded so far by
+    AST on demand, first derivation winning. *)
 
 (** How a node's CFD was obtained from its parents. *)
-type rule =
+type rule = Ir.rule =
   | Axiom  (** a member of the original Σ (or an externally given CFD) *)
   | Renamed of string
       (** attribute/relation renaming; the payload says which step
-          (view atom, equivalence representative, re-homing) *)
+          (view atom, equivalence representative) *)
   | Normalised  (** [strip_redundant_wildcards] / constant-form rewrite *)
   | Resolvent of string  (** RBR resolvent on the named dropped attribute *)
   | Eq_class
@@ -40,71 +41,55 @@ type rule =
   | Lhs_reduced
       (** MinCover LHS reduction; parents are the original CFD plus the
           implication witness (the rules that fired in the chase) *)
-  | Conditioned of string  (** SPCU branch-constant conditioning *)
 
 type node = { id : int; cfd : Cfds.Cfd.t; rule : rule; parents : int list }
 
-(** The recording guard — the hot-path check. *)
-val enabled : unit -> bool
+(** A recorder: the arena one run records into. *)
+type t = Ir.arena
 
-(** [set_enabled true] clears the arena and starts recording. *)
-val set_enabled : bool -> unit
+(** A fresh, empty recorder. *)
+val create : unit -> t
 
-(** Drop every node. *)
-val reset : unit -> unit
+(** [records ctx] — does [ctx] carry a recorder?  Sites that would do
+    extra work only to feed a record (ComputeEQ's contributor lists,
+    MinCover's fired-rule witness) test this first. *)
+val records : Ir.ctx -> bool
 
-(** [record cfd rule parents] interns a derivation: no-op when disabled
-    or when [cfd] already has a node (first derivation wins).  Parents
-    without a node yet are interned as {!Axiom} leaves. *)
-val record : Cfds.Cfd.t -> rule -> Cfds.Cfd.t list -> unit
-
-(** [record_axiom cfd] marks a CFD as a leaf (a member of Σ). *)
-val record_axiom : Cfds.Cfd.t -> unit
-
-val record_axioms : Cfds.Cfd.t list -> unit
-
-(** [alias child rule parent] records a unary rewriting step, skipped
-    when [child] and [parent] are canonically equal. *)
-val alias : Cfds.Cfd.t -> rule -> Cfds.Cfd.t -> unit
-
-(** [record_ir ctx ic rule parents] — {!record} over interned CFDs: no AST
-    is built, the node's AST stays a thunk until a query edge forces it. *)
+(** [record_ir ctx ic rule parents] interns a derivation into [ctx]'s
+    recorder: no-op when [ctx] has none or when [ic] already has a node
+    (first derivation wins).  Parents without a node yet are interned as
+    {!Axiom} leaves.  No AST is built: the node's AST stays a thunk until
+    a query edge forces it. *)
 val record_ir : Ir.ctx -> Ir.t -> rule -> Ir.t list -> unit
 
+(** [record_axiom_ir ctx ic] marks a CFD as a leaf (a member of Σ). *)
 val record_axiom_ir : Ir.ctx -> Ir.t -> unit
+
 val record_axioms_ir : Ir.ctx -> Ir.t list -> unit
 
-(** [alias_ir ctx child rule parent] — {!alias} over interned CFDs (the IR
-    is canonical by construction, so the identity test is {!Ir.equal}). *)
+(** [alias_ir ctx child rule parent] records a unary rewriting step,
+    skipped when [child] and [parent] are equal ({!Ir.equal}: the IR is
+    canonical by construction). *)
 val alias_ir : Ir.ctx -> Ir.t -> rule -> Ir.t -> unit
 
-(** Number of nodes in the arena. *)
-val size : unit -> int
+(** Number of nodes in the recorder. *)
+val size : t -> int
 
 (** The node of a CFD (looked up by canonical form). *)
-val find : Cfds.Cfd.t -> node option
+val find : t -> Cfds.Cfd.t -> node option
 
-(** [node id] — raises [Invalid_argument] on unknown ids. *)
-val node : int -> node
+(** [node t id] — raises [Invalid_argument] on unknown ids. *)
+val node : t -> int -> node
 
-(** [sources cfd] is the multiset of {!Axiom} leaves below [cfd]'s node:
+(** [sources t cfd] is the multiset of {!Axiom} leaves below [cfd]'s node:
     each source CFD with its number of derivation paths (saturating),
     sorted.  Empty when the CFD has no node or descends only from
     view-definition facts (selection/constants). *)
-val sources : Cfds.Cfd.t -> (Cfds.Cfd.t * int) list
-
-(** [dependents ~cover axiom] — the members of [cover] whose source
-    multiset contains [axiom].  The serve layer's delta planner uses this
-    as {e advisory} attribution when reporting which cover members a
-    [remove_cfd] touched: minimal covers are not monotone under axiom
-    deletion (a member pruned {e because of} a CFD derived from the
-    removed axiom can reappear), so attribution narrows the report, never
-    the recompute. *)
-val dependents : cover:Cfds.Cfd.t list -> Cfds.Cfd.t -> Cfds.Cfd.t list
+val sources : t -> Cfds.Cfd.t -> (Cfds.Cfd.t * int) list
 
 val rule_label : rule -> string
 
-(** [pp_tree ppf cfd] prints the derivation tree (the DAG re-expanded,
+(** [pp_tree t ppf cfd] prints the derivation tree (the DAG re-expanded,
     shared subtrees in full), one node per line as
     ["<cfd>  [<rule>]"], children indented with box-drawing rails;
     [max_lines] (default 200) bounds the output.  [pp_cfd] overrides the
@@ -112,11 +97,12 @@ val rule_label : rule -> string
 val pp_tree :
   ?pp_cfd:Cfds.Cfd.t Fmt.t ->
   ?max_lines:int ->
+  t ->
   Format.formatter ->
   Cfds.Cfd.t ->
   unit
 
-(** [to_json roots] renders the sub-DAG reachable from [roots]:
+(** [to_json t roots] renders the sub-DAG reachable from [roots]:
     [{"cover": [{"cfd", "node", "sources": [{"cfd", "count"}]}],
     "nodes": [{"id", "cfd", "rule", "parents"}]}]. *)
-val to_json : ?pp_cfd:Cfds.Cfd.t Fmt.t -> Cfds.Cfd.t list -> string
+val to_json : ?pp_cfd:Cfds.Cfd.t Fmt.t -> t -> Cfds.Cfd.t list -> string

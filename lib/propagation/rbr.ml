@@ -8,56 +8,10 @@ let c_deduped = Obs.counter "rbr.resolvents_deduped"
 let c_buckets = Obs.counter "rbr.bucket_nodes_touched"
 let c_prunes = Obs.counter "rbr.prune_rounds"
 let c_builds = Obs.counter "rbr.engine_builds"
-let c_delta_seeded = Obs.counter "rbr.delta_seeded"
-let c_delta_reuse = Obs.counter "rbr.delta_reuse"
 let s_reduce = Obs.span "rbr.reduce"
 let s_prune = Obs.span "rbr.prune"
 
 let mentions a cfd = List.mem a (C.attrs cfd)
-
-(* ---------------------------------------------------------------------- *)
-(* The delta derivation store.  A Σ-delta recompute replays mostly the
-   same eliminations as the previous run: most producer × consumer pairs
-   survive, so their resolvents (and whole prune rounds over unchanged
-   working sets) can be reused instead of re-derived.  Reuse must not
-   change the working-set evolution — minimal covers are tie-break
-   sensitive, so byte-identity with a from-scratch run only holds if the
-   elimination replays exactly.  The store therefore caches {e pure
-   sub-computations} keyed by their full inputs: the new engine's buckets
-   are seeded with the old run's surviving derivations, but every pair is
-   still visited and the final re-prune always runs.
-
-   Keys hold {!Ir.t} values, whose attribute ids come from the owning
-   context's interner: a store is only sound across calls that share one
-   id assignment — in practice, covers computed for one (schema, view)
-   pair, whose contexts [Propcover] interns identically before Σ is
-   seen.  The resident session satisfies this by construction.
-   Provenance runs bypass the store entirely (resolvent recording must
-   see every derivation). *)
-
-type delta = {
-  d_resolvents : (Ir.t * Ir.t * int, Ir.t option) Hashtbl.t;
-  d_prunes : (string, Ir.t list) Hashtbl.t;
-  mutable d_populated : bool;  (** a reduction has filled the store *)
-}
-
-let create_delta () =
-  {
-    d_resolvents = Hashtbl.create 1024;
-    d_prunes = Hashtbl.create 64;
-    d_populated = false;
-  }
-
-(* Safety valve for long-lived sessions: past this many cached
-   derivations the store is dropped wholesale (append-only like the memo,
-   so partial eviction would be wasted complexity). *)
-let delta_cap = 1 lsl 20
-
-let delta_room d =
-  if Hashtbl.length d.d_resolvents > delta_cap then begin
-    Hashtbl.reset d.d_resolvents;
-    Hashtbl.reset d.d_prunes
-  end
 
 (* ---------------------------------------------------------------------- *)
 (* Reference implementation (strings + assoc lists).  Kept as the oracle   *)
@@ -189,41 +143,21 @@ module Engine = struct
 
   (* Drop attribute [a]: resolve producers {rhs = a} against consumers
      {a ∈ lhs}, then replace every node mentioning [a] by the resolvents.
-     Buckets and degrees are patched in place.  With [delta], each
-     producer × consumer pair probes the derivation store first — a hit
-     seeds the bucket with the previous run's resolvent (including the
-     negative "no resolvent" verdicts) without re-running the pattern
-     meet; the pair set itself is never skipped, so the working-set
-     evolution is byte-identical to a cold run. *)
-  let drop_attr ?delta eng a =
+     Buckets and degrees are patched in place. *)
+  let drop_attr eng a =
     if a < Array.length eng.degree && eng.degree.(a) > 0 then begin
       let nodes tbl = Hashtbl.fold (fun _ n acc -> n :: acc) tbl [] in
       let producers = nodes eng.by_rhs.(a) in
       let consumers = nodes eng.by_lhs.(a) in
       let tracing = Obs.trace_enabled () in
       if tracing then Obs.trace_begin "rbr.drop";
-      let prov = Provenance.enabled () in
-      let resolve (p : node) (c : node) =
-        match delta with
-        | None -> Ir.resolvent p.ic c.ic ~on:a
-        | Some d ->
-          let key = (p.ic, c.ic, a) in
-          (match Hashtbl.find_opt d.d_resolvents key with
-           | Some r ->
-             Obs.incr c_delta_reuse;
-             r
-           | None ->
-             let r = Ir.resolvent p.ic c.ic ~on:a in
-             if Hashtbl.length d.d_resolvents <= delta_cap then
-               Hashtbl.replace d.d_resolvents key r;
-             r)
-      in
+      let prov = Provenance.records eng.ctx in
       let resolvents =
         List.concat_map
           (fun (p : node) ->
             List.filter_map
               (fun (c : node) ->
-                match resolve p c with
+                match Ir.resolvent p.ic c.ic ~on:a with
                 | None -> None
                 | Some r ->
                   if prov then
@@ -273,16 +207,8 @@ let drop_indexed sigma a =
   Engine.drop_attr eng (Ir.intern ctx a);
   Engine.extract eng
 
-let reduce_ir ~ctx ?prune ?pool ?delta ?max_size
-    ?(order = `Min_degree) isigma ~drop_ids =
-  (* Provenance needs to see every derivation happen for real; a seeded
-     run would record only the cache misses.  Bypass the store. *)
-  let delta = if Provenance.enabled () then None else delta in
-  (match delta with
-   | Some d ->
-     delta_room d;
-     if d.d_populated then Obs.incr c_delta_seeded
-   | None -> ());
+let reduce_ir ~ctx ?prune ?pool ?max_size ?(order = `Min_degree) isigma
+    ~drop_ids =
   (* Constant-RHS CFDs shed their wildcard LHS attributes first: otherwise a
      projected-away wildcard attribute would drag an equivalent, still
      propagated CFD out of the cover. *)
@@ -307,28 +233,8 @@ let reduce_ir ~ctx ?prune ?pool ?delta ?max_size
       Obs.incr c_prunes;
       Obs.with_span s_prune (fun () ->
           let live = Engine.extract_ir eng in
-          (* A prune round is a pure function of the (sorted) working set
-             under one id assignment, so whole rounds replay from the
-             store: the digest scheme matches the slice keys
-             ([Mincover.slice_digest_ir]), pinning every id, symbol and
-             relation in the set. *)
           let pruned =
-            let cold () =
-              Mincover.prune_partitioned_ir ?pool ctx space ~chunk
-                live
-            in
-            match delta with
-            | None -> cold ()
-            | Some d ->
-              let key = Mincover.slice_digest_ir ctx live in
-              (match Hashtbl.find_opt d.d_prunes key with
-               | Some cached ->
-                 Obs.incr c_delta_reuse;
-                 cached
-               | None ->
-                 let p = cold () in
-                 Hashtbl.replace d.d_prunes key p;
-                 p)
+            Mincover.prune_partitioned_ir ?pool ctx space ~chunk live
           in
           last_pruned := max 256 (List.length pruned);
           let keep = Hashtbl.create 256 in
@@ -363,7 +269,7 @@ let reduce_ir ~ctx ?prune ?pool ?delta ?max_size
     | None -> (Engine.extract_ir eng, `Complete)
     | Some a ->
       let rest = List.filter (fun b -> b <> a) remaining in
-      Engine.drop_attr ?delta eng a;
+      Engine.drop_attr eng a;
       prune_set ();
       (match max_size with
        | Some bound when Engine.size eng > bound ->
@@ -377,9 +283,7 @@ let reduce_ir ~ctx ?prune ?pool ?delta ?max_size
          (clean, `Truncated)
        | _ -> go rest)
   in
-  let res = Obs.with_span s_reduce (fun () -> go drop_ids) in
-  (match delta with Some d -> d.d_populated <- true | None -> ());
-  res
+  Obs.with_span s_reduce (fun () -> go drop_ids)
 
 let reduce ?prune ?pool ?max_size ?(order = `Min_degree) sigma ~drop_attrs =
   let ctx = Ir.create_ctx () in

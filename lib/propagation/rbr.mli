@@ -64,48 +64,17 @@ val reduce :
   drop_attrs:string list ->
   Cfds.Cfd.t list * [ `Complete | `Truncated ]
 
-(** {1 Σ-delta derivation store}
-
-    A [delta] value carries derivations — per-pair resolvents (including
-    the negative "no resolvent" verdicts) and whole prune rounds — from
-    one reduction to the next, so a Σ-delta recompute seeds its engine
-    buckets from the previous run's surviving derivations instead of
-    re-deriving each from scratch.  Reuse is {e pure sub-computation
-    caching}: every producer × consumer pair is still visited and the
-    final re-prune always runs, so the working-set evolution — and hence
-    the resulting cover — is byte-identical to a cold run (asserted by
-    the differential walks in the test suite and the serve bench).
-
-    Soundness across calls requires one attribute-id assignment: share a
-    store only between reductions for the same (schema, view) pair, whose
-    {!Propcover} contexts intern every name in declaration order before Σ
-    is seen — the resident session's usage.  The store is bypassed when
-    provenance recording is on (it must observe every derivation), and
-    dropped wholesale past a size cap.
-    Not thread-safe: callers must serialise reductions that share a store
-    (the session's delta writer lock does). *)
-
-type delta
-
-(** A fresh, empty derivation store. *)
-val create_delta : unit -> delta
-
 (** [reduce_ir ~ctx isigma ~drop_ids] — {!reduce} natively over the
     pipeline IR: no conversion at either edge, and prune rounds diff the
     partitioned-MinCover result into the live engine (removing stale nodes,
     adding reduced ones) instead of rebuilding it — [rbr.engine_builds]
     stays at one per call.  [prune] takes a prebuilt {!Ir.space} covering
-    every attribute the working set can mention.
-
-    [delta], when given, reuses derivations cached by previous reductions
-    sharing the store (see {!type:delta}); [rbr.delta_seeded] counts
-    reductions entered with a populated store, [rbr.delta_reuse] the
-    individual derivations served from it. *)
+    every attribute the working set can mention.  Resolvents are recorded
+    into [ctx]'s provenance recorder, if it has one. *)
 val reduce_ir :
   ctx:Ir.ctx ->
   ?prune:Ir.space * int ->
   ?pool:Parallel.Pool.t ->
-  ?delta:delta ->
   ?max_size:int ->
   ?order:[ `Min_degree | `Given ] ->
   Ir.t list ->

@@ -185,10 +185,10 @@ let json_fields ?(gauges = []) (s : Obs.snapshot) =
 
 (* --- the /metrics HTTP responder ------------------------------------ *)
 
-(* One short-lived connection at a time, select-polled so [stop] is
-   honoured within 200 ms — the same shape as Server.run_tcp.  This is a
-   scrape endpoint for one Prometheus server, not a web server; keeping
-   it serial keeps it trivially correct. *)
+(* One short-lived connection at a time, select-polled by [listen] so
+   [stop] is honoured within 200 ms.  This is a scrape endpoint for one
+   Prometheus server, not a web server; keeping it serial keeps it
+   trivially correct. *)
 
 let http_response ~status ~content_type body =
   Printf.sprintf
@@ -237,8 +237,10 @@ let handle_client ~render fd =
          "try /metrics\n")
   | _ -> ())
 
-let serve_http ?(host = "127.0.0.1") ?on_listen ?(stop = fun () -> false)
-    ~render ~port () =
+(* The accept loop both TCP front ends share: the line protocol
+   ([Server.run_tcp]) and the scrape endpoint ([serve_http]). *)
+let listen ?(host = "127.0.0.1") ?on_listen ?(stop = fun () -> false) ~port
+    handle () =
   let addr = Unix.ADDR_INET (Unix.inet_addr_of_string host, port) in
   let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Fun.protect
@@ -263,12 +265,15 @@ let serve_http ?(host = "127.0.0.1") ?on_listen ?(stop = fun () -> false)
           | [], _, _ -> ()
           | _ :: _, _, _ ->
             let fd, _ = Unix.accept sock in
-            (* [Sys_blocked_io] is what a channel read/write raises when
-               the socket deadline set in [handle_client] expires. *)
-            (try handle_client ~render fd
+            (* [Sys_blocked_io] is what a channel read/write raises when a
+               socket deadline (as [handle_client] sets) expires. *)
+            (try handle fd
              with Sys_error _ | Sys_blocked_io | Unix.Unix_error _ -> ());
             (try Unix.close fd with Unix.Unix_error _ -> ()));
           loop ()
         end
       in
       loop ())
+
+let serve_http ?host ?on_listen ?stop ~render ~port () =
+  listen ?host ?on_listen ?stop ~port (handle_client ~render) ()

@@ -33,13 +33,28 @@ val prometheus : ?gauges:gauge list -> Obs.snapshot -> string
     histogram) and [gauges] (labelled gauges keyed [name.label_value]). *)
 val json_fields : ?gauges:gauge list -> Obs.snapshot -> (string * Json.t) list
 
-(** [serve_http ~render ~port ()] runs a blocking accept loop answering
+(** [listen ~port handle ()] binds loopback (or [host]), listens, and
+    runs a blocking accept loop that serves each accepted connection with
+    [handle fd], one at a time, then closes it.  I/O errors of one
+    connection ([Sys_error], [Sys_blocked_io], [Unix.Unix_error]) drop
+    that connection only.  [on_listen] receives the bound port (use port
+    0 to let the kernel pick); [stop] is polled every 200 ms between
+    connections.  The one accept loop of both front ends:
+    {!Server.run_tcp} and {!serve_http}. *)
+val listen :
+  ?host:string ->
+  ?on_listen:(int -> unit) ->
+  ?stop:(unit -> bool) ->
+  port:int ->
+  (Unix.file_descr -> unit) ->
+  unit ->
+  unit
+
+(** [serve_http ~render ~port ()] runs {!listen} answering
     [GET /metrics] with [render ()] (status 200, content type
     [text/plain; version=0.0.4]); other paths get 404, other methods
     405.  One short-lived connection at a time — a scrape endpoint, not
-    a web server.  [on_listen] receives the bound port (use port 0 to
-    let the kernel pick); [stop] is polled every 200 ms, as in
-    {!Server.run_tcp}.  Spawn it on its own domain or thread. *)
+    a web server.  Spawn it on its own domain or thread. *)
 val serve_http :
   ?host:string ->
   ?on_listen:(int -> unit) ->

@@ -472,38 +472,10 @@ let run_channels t ic oc =
    with End_of_file -> ());
   !errors
 
-let run_tcp ?(host = "127.0.0.1") ?on_listen ?(stop = fun () -> false) t
-    ~port () =
-  let addr = Unix.ADDR_INET (Unix.inet_addr_of_string host, port) in
-  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close sock with Unix.Unix_error _ -> ())
-    (fun () ->
-      Unix.setsockopt sock Unix.SO_REUSEADDR true;
-      Unix.bind sock addr;
-      Unix.listen sock 16;
-      (match on_listen with
-      | Some f ->
-        let bound =
-          match Unix.getsockname sock with
-          | Unix.ADDR_INET (_, p) -> p
-          | Unix.ADDR_UNIX _ -> port
-        in
-        f bound
-      | None -> ());
-      let rec loop () =
-        if stop () then ()
-        else begin
-          (match Unix.select [ sock ] [] [] 0.2 with
-          | [], _, _ -> ()
-          | _ :: _, _, _ ->
-            let fd, _ = Unix.accept sock in
-            let ic = Unix.in_channel_of_descr fd in
-            let oc = Unix.out_channel_of_descr fd in
-            (try ignore (run_channels t ic oc)
-             with Sys_error _ | Unix.Unix_error _ -> ());
-            (try Unix.close fd with Unix.Unix_error _ -> ()));
-          loop ()
-        end
-      in
-      loop ())
+let run_tcp ?host ?on_listen ?stop t ~port () =
+  Metrics.listen ?host ?on_listen ?stop ~port
+    (fun fd ->
+      ignore
+        (run_channels t (Unix.in_channel_of_descr fd)
+           (Unix.out_channel_of_descr fd)))
+    ()

@@ -75,9 +75,9 @@ val handle_batch : t -> string list -> string list
 val run_channels : t -> in_channel -> out_channel -> int
 
 (** [run_tcp t ~port ()] — bind loopback (or [host]) and serve each
-    accepted connection with the stdio loop, one at a time.
-    [on_listen] receives the bound port (useful with [port = 0]);
-    [stop] is polled between connections. *)
+    accepted connection with the stdio loop, one at a time, through
+    {!Metrics.listen}.  [on_listen] receives the bound port (useful with
+    [port = 0]); [stop] is polled between connections. *)
 val run_tcp :
   ?host:string ->
   ?on_listen:(int -> unit) ->

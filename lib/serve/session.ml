@@ -4,7 +4,6 @@ module Propcover = Propagation.Propcover
 module Fast_impl = Propagation.Fast_impl
 module Memo = Propagation.Memo
 module Provenance = Propagation.Provenance
-module Rbr = Propagation.Rbr
 
 let c_patches = Obs.counter "serve.delta_patches"
 let c_fallbacks = Obs.counter "serve.fallbacks"
@@ -16,49 +15,6 @@ let s_delta = Obs.span "serve.delta"
 let h_delta_noop = Obs.histogram "serve.delta_us.noop"
 let h_delta_patched = Obs.histogram "serve.delta_us.patched"
 let h_delta_recomputed = Obs.histogram "serve.delta_us.recomputed"
-
-(* ------------------------------------------------------------------ *)
-(* The provenance gate.  Propcover bypasses every memo layer while the
-   global provenance flag is on (derivations must bottom out in the
-   run's own steps), and [set_enabled true] clears the process-global
-   arena — so attribution runs (writers) must exclude every concurrent
-   session recompute (readers), or the readers would silently skip
-   their caches and the writer's arena would be polluted.  A tiny
-   readers/writer latch; writers are rare (one per explain after a
-   recompute). *)
-
-let prov_mutex = Mutex.create ()
-let prov_cond = Condition.create ()
-let prov_readers = ref 0
-let prov_writer = ref false
-
-let with_prov_reader f =
-  Mutex.lock prov_mutex;
-  while !prov_writer do
-    Condition.wait prov_cond prov_mutex
-  done;
-  incr prov_readers;
-  Mutex.unlock prov_mutex;
-  Fun.protect f ~finally:(fun () ->
-      Mutex.lock prov_mutex;
-      decr prov_readers;
-      if !prov_readers = 0 then Condition.broadcast prov_cond;
-      Mutex.unlock prov_mutex)
-
-let with_prov_writer f =
-  Mutex.lock prov_mutex;
-  while !prov_writer || !prov_readers > 0 do
-    Condition.wait prov_cond prov_mutex
-  done;
-  prov_writer := true;
-  Mutex.unlock prov_mutex;
-  Fun.protect f ~finally:(fun () ->
-      Mutex.lock prov_mutex;
-      prov_writer := false;
-      Condition.broadcast prov_cond;
-      Mutex.unlock prov_mutex)
-
-(* ------------------------------------------------------------------ *)
 
 type plan = Noop | Patched | Recomputed
 
@@ -145,12 +101,9 @@ let namespace db = Memo.digest_string (Memo.schema_string db)
 (* The current line-1 slice of one relation, by line 1's own procedure
    under line 1's memo key: a session recompute has usually filed it
    already, and a miss (e.g. the full-result cache short-circuited line 1)
-   computes and files it, so a Tier-C recompute that follows reuses it.
-   Latched like a recompute: while an attribution run has provenance on,
-   line 1 would bypass the memo and record into that run's arena. *)
+   computes and files it, so a Tier-C recompute that follows reuses it. *)
 let compute_slice ~memo ~ns view sigma rel =
-  with_prov_reader (fun () ->
-      normalize_sigma (Propcover.slice ~memo:(memo, ns) view rel sigma))
+  normalize_sigma (Propcover.slice ~memo:(memo, ns) view rel sigma)
 
 let refresh_slices ~memo ~ns view atom_bases sigma =
   List.map (fun rel -> (rel, compute_slice ~memo ~ns view sigma rel)) atom_bases
@@ -158,13 +111,29 @@ let refresh_slices ~memo ~ns view atom_bases sigma =
 let name t = t.name
 let view t = t.view
 
-let fresh_options t =
-  {
-    t.options with
-    Propcover.memo = None;
-    memo_results = false;
-    rbr_delta = None;
-  }
+let fresh_options t = { t.options with Propcover.memo = None }
+
+(* The full-result cache.  The cover is a deterministic function of
+   (view, options, Σ), so a key over all three is byte-identical on a
+   hit; Σ round trips (add then remove of one CFD) land here.  Both the
+   initial cover and every Tier-C recompute go through it. *)
+let full_cover ~memo ~ns ~vdigest ~options view sigma =
+  let compute () = Propcover.cover ~options view sigma in
+  let key = "tail:" ^ ns ^ ":" ^ vdigest ^ ":" ^ Memo.digest_cfds sigma in
+  Obs.with_span s_recompute @@ fun () ->
+  match
+    Memo.find_or_compute memo key (fun () ->
+        let r = compute () in
+        Memo.Cover
+          {
+            cover = r.Propcover.cover;
+            complete = r.Propcover.complete;
+            always_empty = r.Propcover.always_empty;
+          })
+  with
+  | Memo.Cover { cover; complete; always_empty }, _ ->
+    { Propcover.cover; complete; always_empty }
+  | (Memo.Cfds _ | Memo.Verdict _), _ -> compute ()
 
 (* One freshly compiled engine per replica.  Patched-tier deltas reuse
    the previous snapshot's slots (the cover is unchanged); only
@@ -222,19 +191,11 @@ let create ?pool ?(replicas = 1) ~memo ~name ~view ~sigma () =
     let sigma = normalize_sigma sigma in
     let ns = namespace view.Spc.source in
     let options =
-      {
-        Propcover.default_options with
-        Propcover.pool;
-        memo_results = true;
-        memo = Some (memo, ns);
-        rbr_delta = Some (Rbr.create_delta ());
-      }
+      { Propcover.default_options with Propcover.pool; memo = Some (memo, ns) }
     in
+    let vdigest = Propcover.instance_digest options view in
     let atom_bases = Spc.bases view in
-    let result =
-      Obs.with_span s_recompute (fun () ->
-          with_prov_reader (fun () -> Propcover.cover ~options view sigma))
-    in
+    let result = full_cover ~memo ~ns ~vdigest ~options view sigma in
     let snap0 =
       {
         snap_epoch = 0;
@@ -252,7 +213,7 @@ let create ?pool ?(replicas = 1) ~memo ~name ~view ~sigma () =
         view;
         memo;
         ns;
-        vdigest = Propcover.instance_digest options view;
+        vdigest;
         options;
         atom_bases;
         replicas;
@@ -272,25 +233,23 @@ let ensure_open t f =
   if Atomic.get t.is_closed then Error "session closed" else f ()
 
 (* The lazily materialised cover → Σ-axiom attribution of one snapshot.
-   Provenance-enabled runs bypass every cache, so this is a full pipeline
-   run — done at most once per snapshot, only when an explain asks for
-   it.  The cell is monotone (None → Some, never back); two racing
-   explains may both compute it, writing identical values. *)
+   A recording run ignores the memo, so this is a full pipeline run into
+   its own recorder — done at most once per snapshot, only when an
+   explain asks for it, and concurrent with any other session's work.
+   The cell is monotone (None → Some, never back); two racing explains
+   may both compute it, writing identical values. *)
 let attribution t (snap : snapshot) =
   match Atomic.get snap.snap_attribution with
   | Some a -> a
   | None ->
-    let opts = fresh_options t in
+    let provenance = Provenance.create () in
+    let r =
+      Propcover.cover ~options:t.options ~provenance t.view snap.snap_sigma
+    in
     let a =
-      with_prov_writer (fun () ->
-          Provenance.set_enabled true;
-          Fun.protect
-            ~finally:(fun () -> Provenance.set_enabled false)
-            (fun () ->
-              let r = Propcover.cover ~options:opts t.view snap.snap_sigma in
-              List.map
-                (fun m -> (m, List.map fst (Provenance.sources m)))
-                r.Propcover.cover))
+      List.map
+        (fun m -> (m, List.map fst (Provenance.sources provenance m)))
+        r.Propcover.cover
     in
     Atomic.set snap.snap_attribution (Some a);
     a
@@ -502,10 +461,9 @@ let apply_delta_locked t dop c =
              the recomputed slice entry for the next delta's old side. *)
           patch ((rel, new_slice) :: List.remove_assoc rel snap.snap_slices)
         else begin
-          (* Tier C: full recompute, warm through the memo and the RBR
-             derivation store (the new engine's buckets seed from the old
-             run's surviving resolvents; the final re-prune still runs,
-             so the cover stays byte-identical to from-scratch).
+          (* Tier C: full recompute, warm through the memo (the
+             full-result cache, then the line-1 slices of untouched
+             relations and of the one the Tier-B check just filed).
              Attribution (when already materialised) narrows the report
              of which members a removal touched; it can never license
              skipping the recompute — minimal covers are not monotone
@@ -523,9 +481,8 @@ let apply_delta_locked t dop c =
             | None, _ -> None
           in
           let result =
-            Obs.with_span s_recompute (fun () ->
-                with_prov_reader (fun () ->
-                    Propcover.cover ~options:t.options t.view sigma'))
+            full_cover ~memo:t.memo ~ns:t.ns ~vdigest:t.vdigest
+              ~options:t.options t.view sigma'
           in
           let snap' =
             {

@@ -25,8 +25,10 @@
     epoch bump (counted [serve.epoch_swaps]).  Readers in flight keep
     answering from the old snapshot; new reads see the new one.  Shared,
     append-only state lives in the server's {!Propagation.Memo} (line-1
-    slices, full results, verdicts), safe across domains by
-    construction.
+    slices, the session's full-result cache, verdicts), safe across
+    domains by construction.  An [explain] records its attribution into
+    a recorder of its own ({!Propagation.Provenance}), so it runs
+    concurrently with every other session's work.
 
     {2 The Σ-delta planner}
 
@@ -49,15 +51,14 @@
       covers are not monotone under axiom deletion, so provenance
       attribution alone can never justify skipping the recompute; it only
       narrows the {e report} of which members were touched.  The
-      recompute runs warm through the memo (untouched relations' slices
-      hit; a Σ seen at an earlier epoch hits the full-result cache) and
-      through the session's {!Propagation.Rbr} derivation store: the new
-      RBR engine's buckets seed from the previous run's surviving
-      resolvents and unchanged prune rounds replay from cache
-      ([rbr.delta_seeded]/[rbr.delta_reuse]), while the final re-prune
-      always runs — byte-identity with from-scratch is preserved and
-      asserted by the differential walks.  [replicas] fresh engines are
-      compiled for the new cover.
+      recompute runs warm through the memo: a Σ seen at an earlier epoch
+      is answered by the session's full-result cache (keyed on the
+      namespace, {!Propagation.Propcover.instance_digest} and the digest
+      of Σ) without running the pipeline, and otherwise line 1 reuses
+      the slices of untouched relations and the one the Tier-B check
+      just filed.  Byte-identity with from-scratch is asserted by the
+      differential walks.  [replicas] fresh engines are compiled for the
+      new cover.
     - {b Noop}: adding a CFD already in Σ / removing an absent one. *)
 
 open Relational
@@ -104,10 +105,10 @@ type stats = {
 val normalize_sigma : Cfds.Cfd.t list -> Cfds.Cfd.t list
 
 (** [create ~memo ~name ~view ~sigma ()] computes the initial cover
-    (epoch 0) and compiles [replicas] (default 1, floored to 1) query
-    engines.  [memo] may be shared with other sessions — keys are
-    namespaced by a digest of the schema.  Errors on CFDs over unknown
-    source relations. *)
+    (epoch 0, through the full-result cache) and compiles [replicas]
+    (default 1, floored to 1) query engines.  [memo] may be shared with
+    other sessions — keys are namespaced by a digest of the schema.
+    Errors on CFDs over unknown source relations. *)
 val create :
   ?pool:Parallel.Pool.t ->
   ?replicas:int ->
@@ -122,8 +123,8 @@ val name : t -> string
 val view : t -> Spc.t
 
 (** The exact options a from-scratch differential run must use to be
-    byte-comparable with the session (the session's pipeline options
-    without the memo or the derivation store). *)
+    byte-comparable with the session: the session's pipeline options
+    without the memo. *)
 val fresh_options : t -> Propagation.Propcover.options
 
 (** Current epoch: 0 after [create], +1 per applied (non-noop) delta.
@@ -156,8 +157,9 @@ val propagates : t -> Cfds.Cfd.t -> (bool * int, string) result
 
 (** [explain t phi] — the verdict plus the cover members the implication
     chase fired and their Σ attributions (materialising the provenance
-    attribution on first use; it lives in the snapshot, so a delta swap
-    naturally invalidates it). *)
+    attribution on first use, by one recording pipeline run into a fresh
+    recorder; it lives in the snapshot, so a delta swap naturally
+    invalidates it). *)
 val explain : t -> Cfds.Cfd.t -> (explanation, string) result
 
 val add_cfd : t -> Cfds.Cfd.t -> (delta_report, string) result

@@ -36,10 +36,9 @@ packed-vs-reference kernel comparison), which the cover comparison
 ignores.
 
 When the smoke dump carries a serve figure (any point with a "serve"
-object), the replicated-session counters serve.replica_reads,
-serve.epoch_swaps and rbr.delta_seeded join the mandatory set
-automatically — a zero on any of them means the replica slots, the
-epoch-swap path, or the RBR derivation-store seeding silently stopped
+object), the replicated-session counters serve.replica_reads and
+serve.epoch_swaps join the mandatory set automatically — a zero on
+either means the replica slots or the epoch-swap path silently stopped
 running.
 
 --extra-counters NAME[,NAME...] appends counters to the mandatory set —
@@ -80,14 +79,12 @@ MANDATORY_COUNTERS = (
 
 # Required in addition whenever the smoke dump carries a serve figure
 # (the replicated-session refactor): a zero serve.replica_reads means
-# queries stopped going through the replica slots, a zero
+# queries stopped going through the replica slots, and a zero
 # serve.epoch_swaps means the delta stream stopped publishing new
-# snapshots, and a zero rbr.delta_seeded means Tier-C recomputes
-# stopped entering RBR with the previous run's derivation store.
+# snapshots.
 SERVE_MANDATORY_COUNTERS = (
     "serve.replica_reads",
     "serve.epoch_swaps",
-    "rbr.delta_seeded",
 )
 
 

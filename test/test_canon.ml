@@ -78,12 +78,12 @@ let test_reserved_prefix_rejected () =
 
 (* The fleet driver's inversion, spelled out: cover on the canonical view,
    renamed back and re-sorted. *)
-let cover_via_canonical v sigma =
+let cover_via_canonical ?provenance v sigma =
   match Canon.canonicalize v with
   | Error e -> Alcotest.fail e
   | Ok (cv, ren) ->
     check_bool "canonicalisation verified" true (Canon.verified v cv ren);
-    let r = Propcover.cover cv sigma in
+    let r = Propcover.cover ?provenance cv sigma in
     if r.Propcover.always_empty then Propcover.empty_view_cover v
     else
       r.Propcover.cover
@@ -113,18 +113,24 @@ let test_property_canonical_cover_identical () =
   done
 
 let test_property_with_provenance () =
-  (* Same identity with --why recording on: the memo is bypassed but
-     canonicalisation must still invert cleanly. *)
-  Provenance.set_enabled true;
-  Fun.protect
-    ~finally:(fun () -> Provenance.set_enabled false)
-    (fun () ->
-      for seed = 41 to 52 do
-        let v, sigma = seeded_pair seed in
-        let direct = (Propcover.cover v sigma).Propcover.cover in
-        let via = cover_via_canonical v sigma in
-        Alcotest.check cfds (Printf.sprintf "seed %d (why)" seed) direct via
-      done)
+  (* Same identity with both runs recording (as --why does), each into
+     its own recorder: canonicalisation must still invert cleanly, and
+     every cover member of the direct run has a recorded derivation. *)
+  for seed = 41 to 52 do
+    let v, sigma = seeded_pair seed in
+    let prov = Provenance.create () in
+    let r = Propcover.cover ~provenance:prov v sigma in
+    let via = cover_via_canonical ~provenance:(Provenance.create ()) v sigma in
+    Alcotest.check cfds (Printf.sprintf "seed %d (why)" seed) r.Propcover.cover via;
+    if not r.Propcover.always_empty then
+      List.iter
+        (fun c ->
+          check_bool
+            (Fmt.str "seed %d: %a has a derivation" seed C.pp c)
+            true
+            (Provenance.find prov c <> None))
+        r.Propcover.cover
+  done
 
 let test_paper_example_canonical_cover () =
   let sigma = [ f1; f2; cfd1 ] in

@@ -157,16 +157,27 @@ let test_propagates_shared_verdicts () =
       check_bool (String.concat "," lhs ^ " -> " ^ rhs) direct fleet)
     [ ([ "zip" ], "street"); ([ "AC" ], "city"); ([ "phn" ], "name") ]
 
-let test_provenance_disables_sharing () =
+(* The one bypass rule: a recording cover ignores the memo it is given —
+   a run that used it would file its line-1 slices there — and returns
+   the same cover as a run without the memo. *)
+let test_recording_bypasses_memo () =
   let views, sigma = workload 51 ~n:4 ~overlap:0.5 in
-  Provenance.set_enabled true;
-  Fun.protect
-    ~finally:(fun () -> Provenance.set_enabled false)
-    (fun () ->
-      let fr = check_matches_independent views sigma in
-      check_bool "no sharing while recording" true
-        (List.for_all (fun r -> not r.Fleet.memo_hit) fr.Fleet.results);
-      check_int "memo untouched" 0 (Memo.entries fr.Fleet.memo))
+  List.iter
+    (fun v ->
+      let memo = Memo.create () in
+      let options =
+        { Propcover.default_options with Propcover.memo = Some (memo, "ns") }
+      in
+      let plain = (Propcover.cover v sigma).Propcover.cover in
+      let provenance = Provenance.create () in
+      let r = Propcover.cover ~options ~provenance v sigma in
+      Alcotest.check cfds ("same cover: " ^ v.Spc.name) plain r.Propcover.cover;
+      check_int ("memo untouched: " ^ v.Spc.name) 0 (Memo.entries memo);
+      check_bool ("recorded: " ^ v.Spc.name) true (Provenance.size provenance > 0);
+      (* Without the recorder the same options do file slices. *)
+      ignore (Propcover.cover ~options v sigma);
+      check_bool ("a plain run files: " ^ v.Spc.name) true (Memo.entries memo > 0))
+    views
 
 let test_mixed_schema_rejected () =
   let other = Schema.db [ ab_schema () ] in
@@ -187,6 +198,6 @@ let suite =
     ("memo shared across runs", `Quick, test_shared_memo_across_runs);
     ("always-empty views", `Quick, test_always_empty_view);
     ("propagates shares verdicts", `Quick, test_propagates_shared_verdicts);
-    ("provenance disables sharing", `Quick, test_provenance_disables_sharing);
+    ("recording cover bypasses the memo", `Quick, test_recording_bypasses_memo);
     ("mixed source schemas rejected", `Quick, test_mixed_schema_rejected);
   ]

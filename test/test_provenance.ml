@@ -4,8 +4,9 @@
    computed cover, the recorded source multiset Σ' ⊆ Σ must itself
    propagate φ — checked against the chase-based decision procedure
    (the same ground-truth oracle as test_oracle.ml), run on the subset.
-   Plus recording transparency (identical covers on/off) and structural
-   invariants of the arena (a DAG, parents before children). *)
+   Plus recording transparency (identical covers with and without a
+   recorder), structural invariants of the arena (a DAG, parents before
+   children), and independence of recorders run concurrently. *)
 
 open Relational
 module C = Cfds.Cfd
@@ -15,9 +16,10 @@ module Gen = QCheck2.Gen
 let check_bool = Alcotest.(check bool)
 let gen_seed = Gen.int_range 0 1_000_000
 
-let with_provenance f =
-  P.Provenance.set_enabled true;
-  Fun.protect ~finally:(fun () -> P.Provenance.set_enabled false) f
+(* One recording run: the cover and the recorder it filled. *)
+let recorded ?options view sigma =
+  let prov = P.Provenance.create () in
+  (P.Propcover.cover ?options ~provenance:prov view sigma, prov)
 
 let propagated view sigma phi =
   match
@@ -59,22 +61,24 @@ let subset_of srcs sigma =
 
 (* The full per-seed soundness check, exposed for the seed-replay corpus
    (regressions.ml). *)
+let sound_against view sigma (r : P.Propcover.result) prov =
+  (* An always-empty view's cover is justified by Lemma 4.5, not by a
+     derivation from Σ — nothing to check. *)
+  r.P.Propcover.always_empty
+  || List.for_all
+       (fun phi ->
+         let srcs = List.map fst (P.Provenance.sources prov phi) in
+         (* Σ' ⊆ Σ, and the subset alone already propagates φ —
+            derivations never smuggle in facts Σ does not provide (the
+            view definition itself is a legitimate leaf: Σ' may even be
+            empty for selection/constant-derived CFDs). *)
+         subset_of srcs sigma && propagated view srcs phi)
+       r.P.Propcover.cover
+
 let provenance_sound seed =
   let sigma, view = small_workload seed in
-  with_provenance (fun () ->
-      let r = P.Propcover.cover view sigma in
-      (* An always-empty view's cover is justified by Lemma 4.5, not by a
-         derivation from Σ — nothing to check. *)
-      r.P.Propcover.always_empty
-      || List.for_all
-           (fun phi ->
-             let srcs = List.map fst (P.Provenance.sources phi) in
-             (* Σ' ⊆ Σ, and the subset alone already propagates φ —
-                derivations never smuggle in facts Σ does not provide
-                (the view definition itself is a legitimate leaf: Σ'
-                may even be empty for selection/constant-derived CFDs). *)
-             subset_of srcs sigma && propagated view srcs phi)
-           r.P.Propcover.cover)
+  let r, prov = recorded view sigma in
+  sound_against view sigma r prov
 
 let prop_provenance_sound =
   QCheck2.Test.make ~name:"cover sources: Σ' ⊆ Σ and Σ' |=_V φ (chase oracle)"
@@ -83,11 +87,9 @@ let prop_provenance_sound =
 (* Recording must not change the covers computed. *)
 let provenance_transparent seed =
   let sigma, view = small_workload seed in
-  P.Provenance.set_enabled false;
   let baseline = (P.Propcover.cover view sigma).P.Propcover.cover in
-  with_provenance (fun () ->
-      let c = (P.Propcover.cover view sigma).P.Propcover.cover in
-      sets_equal (normalize baseline) (normalize c))
+  let r, _ = recorded view sigma in
+  sets_equal (normalize baseline) (normalize r.P.Propcover.cover)
 
 let prop_provenance_transparent =
   QCheck2.Test.make ~name:"recording transparency: same covers on/off"
@@ -97,18 +99,15 @@ let prop_provenance_transparent =
    a DAG by construction) and every recorded node is reachable via find. *)
 let arena_well_formed seed =
   let sigma, view = small_workload seed in
-  with_provenance (fun () ->
-      ignore (P.Propcover.cover view sigma);
-      let n = P.Provenance.size () in
-      let ok = ref true in
-      for id = 0 to n - 1 do
-        let node = P.Provenance.node id in
-        if node.P.Provenance.id <> id then ok := false;
-        List.iter
-          (fun p -> if p >= id then ok := false)
-          node.P.Provenance.parents
-      done;
-      !ok)
+  let _, prov = recorded view sigma in
+  let n = P.Provenance.size prov in
+  let ok = ref true in
+  for id = 0 to n - 1 do
+    let node = P.Provenance.node prov id in
+    if node.P.Provenance.id <> id then ok := false;
+    List.iter (fun p -> if p >= id then ok := false) node.P.Provenance.parents
+  done;
+  !ok
 
 let prop_arena_well_formed =
   QCheck2.Test.make ~name:"arena: ids dense, parents precede children"
@@ -120,62 +119,59 @@ let prop_arena_well_formed =
 let test_running_example () =
   let open Fixtures in
   let sigma = [ f1; f2; cfd1 ] in
-  with_provenance (fun () ->
-      let r = P.Propcover.cover q1 sigma in
-      check_bool "cover nonempty" true (r.P.Propcover.cover <> []);
-      check_bool "arena nonempty" true (P.Provenance.size () > 0);
-      List.iter
-        (fun phi ->
-          check_bool
-            (Fmt.str "cover member has a node: %a" C.pp phi)
-            true
-            (P.Provenance.find phi <> None);
-          let srcs = List.map fst (P.Provenance.sources phi) in
-          check_bool
-            (Fmt.str "sources are Σ members: %a" C.pp phi)
-            true (subset_of srcs sigma);
-          check_bool
-            (Fmt.str "Σ' propagates: %a" C.pp phi)
-            true
-            (propagated q1 srcs phi))
-        r.P.Propcover.cover;
-      (* The non-vacuous members (zip→street, AC→city, AC=20→city=LDN)
-         must actually cite their originating source CFD. *)
-      let vschema = Spc.view_schema q1 in
-      ignore vschema;
-      let cites phi src =
-        List.exists
-          (fun (s, _) -> C.compare s (C.canonical src) = 0)
-          (P.Provenance.sources phi)
-      in
-      check_bool "zip→street cites f1" true
-        (List.exists
-           (fun phi -> cites phi f1)
-           r.P.Propcover.cover);
-      check_bool "AC→city cites f2" true
-        (List.exists (fun phi -> cites phi f2) r.P.Propcover.cover);
-      (* Rendering smoke: the trees print, and the JSON export parses. *)
-      let buf = Buffer.create 256 in
-      let ppf = Format.formatter_of_buffer buf in
-      List.iter (fun c -> P.Provenance.pp_tree ppf c) r.P.Propcover.cover;
-      Format.pp_print_flush ppf ();
-      check_bool "trees rendered" true (Buffer.length buf > 0);
-      check_bool "tree mentions a source leaf" true
-        (let s = Buffer.contents buf in
-         let rec contains i =
-           i + 8 <= String.length s
-           && (String.equal (String.sub s i 8) "[source]" || contains (i + 1))
-         in
-         contains 0);
-      let doc = Mini_json.parse (P.Provenance.to_json r.P.Propcover.cover) in
-      let cover_entries =
-        Mini_json.to_arr (Option.get (Mini_json.member "cover" doc))
-      in
-      Alcotest.(check int)
-        "JSON cover entries" (List.length r.P.Propcover.cover)
-        (List.length cover_entries);
-      check_bool "JSON has nodes" true
-        (Mini_json.to_arr (Option.get (Mini_json.member "nodes" doc)) <> []))
+  let r, prov = recorded q1 sigma in
+  check_bool "cover nonempty" true (r.P.Propcover.cover <> []);
+  check_bool "arena nonempty" true (P.Provenance.size prov > 0);
+  List.iter
+    (fun phi ->
+      check_bool
+        (Fmt.str "cover member has a node: %a" C.pp phi)
+        true
+        (P.Provenance.find prov phi <> None);
+      let srcs = List.map fst (P.Provenance.sources prov phi) in
+      check_bool
+        (Fmt.str "sources are Σ members: %a" C.pp phi)
+        true (subset_of srcs sigma);
+      check_bool
+        (Fmt.str "Σ' propagates: %a" C.pp phi)
+        true
+        (propagated q1 srcs phi))
+    r.P.Propcover.cover;
+  (* The non-vacuous members (zip→street, AC→city, AC=20→city=LDN)
+     must actually cite their originating source CFD. *)
+  let cites phi src =
+    List.exists
+      (fun (s, _) -> C.compare s (C.canonical src) = 0)
+      (P.Provenance.sources prov phi)
+  in
+  check_bool "zip→street cites f1" true
+    (List.exists
+       (fun phi -> cites phi f1)
+       r.P.Propcover.cover);
+  check_bool "AC→city cites f2" true
+    (List.exists (fun phi -> cites phi f2) r.P.Propcover.cover);
+  (* Rendering smoke: the trees print, and the JSON export parses. *)
+  let buf = Buffer.create 256 in
+  let ppf = Format.formatter_of_buffer buf in
+  List.iter (fun c -> P.Provenance.pp_tree prov ppf c) r.P.Propcover.cover;
+  Format.pp_print_flush ppf ();
+  check_bool "trees rendered" true (Buffer.length buf > 0);
+  check_bool "tree mentions a source leaf" true
+    (let s = Buffer.contents buf in
+     let rec contains i =
+       i + 8 <= String.length s
+       && (String.equal (String.sub s i 8) "[source]" || contains (i + 1))
+     in
+     contains 0);
+  let doc = Mini_json.parse (P.Provenance.to_json prov r.P.Propcover.cover) in
+  let cover_entries =
+    Mini_json.to_arr (Option.get (Mini_json.member "cover" doc))
+  in
+  Alcotest.(check int)
+    "JSON cover entries" (List.length r.P.Propcover.cover)
+    (List.length cover_entries);
+  check_bool "JSON has nodes" true
+    (Mini_json.to_arr (Option.get (Mini_json.member "nodes" doc)) <> [])
 
 (* The fired-rule witness of [Fast_impl.implies ?fired]: replaying only
    the marked rules must reproduce the positive verdict. *)
@@ -210,8 +206,41 @@ let prop_witness_replays =
   QCheck2.Test.make ~name:"fired-rule witness alone implies the conclusion"
     ~count:60 gen_seed witness_replays
 
+(* Recorders are values: two domains record concurrently, each on its own
+   seed, and neither sees the other's derivations.  Each recorder stays
+   sound against its own Σ and holds exactly the nodes of a solo run, and
+   its JSON export is byte-identical to the solo run's. *)
+let test_concurrent_recorders () =
+  let seeds = [ 7; 1_013 ] in
+  let run_once seed =
+    let sigma, view = small_workload seed in
+    let r, prov = recorded view sigma in
+    ( sound_against view sigma r prov,
+      P.Provenance.size prov,
+      P.Provenance.to_json prov r.P.Propcover.cover )
+  in
+  let solo = List.map run_once seeds in
+  (* Several rounds per domain, so the two runs overlap. *)
+  let run seed = List.init 5 (fun _ -> run_once seed) in
+  let domains = List.map (fun seed -> Stdlib.Domain.spawn (fun () -> run seed)) seeds in
+  List.iteri
+    (fun i d ->
+      let _, solo_size, solo_json = List.nth solo i in
+      List.iter
+        (fun (sound, size, json) ->
+          check_bool (Printf.sprintf "domain %d: sound against its own Σ" i) true sound;
+          Alcotest.(check int)
+            (Printf.sprintf "domain %d: only its own nodes" i)
+            solo_size size;
+          Alcotest.(check string)
+            (Printf.sprintf "domain %d: JSON equals the solo run's" i)
+            solo_json json)
+        (Stdlib.Domain.join d))
+    domains
+
 let suite =
   ("running example: trees bottom out in Σ", `Quick, test_running_example)
+  :: ("concurrent recorders stay separate", `Quick, test_concurrent_recorders)
   :: List.map QCheck_alcotest.to_alcotest
        [
          prop_provenance_sound;

@@ -510,47 +510,97 @@ let test_replicated_swap_torture () =
   check_int "32 swaps applied" 32 st.Session.epoch;
   check_bool "final cover matches fresh batch" true (covers_match s)
 
-(* The RBR derivation store: a Tier-C recompute enters RBR with the
-   previous run's derivations (rbr.delta_seeded) and serves surviving
-   producer × consumer resolvents from it (rbr.delta_reuse), while the
-   cover stays byte-identical (covers_match, and every prop_walk seed
-   exercises the same path).  The doc is built so RBR actually drops
-   attributes: W projects [a, c] away from R(a, b, c, d), making
-   [a] -> [c] a genuine b-resolvent both runs derive. *)
-let test_delta_seeding_counters () =
-  let doc =
-    "schema R(a: string, b: string, c: string, d: string); \
-     cfd R([a] -> [b]); cfd R([b] -> [c]); \
-     view W = from [R(a, b, c, d)] project [a, c];"
-  in
-  let parsed =
-    match Syntax.Parser.parse_document doc with
-    | Ok d -> d
-    | Error e -> Alcotest.failf "doc: %s" e
-  in
-  let view = List.hd parsed.Syntax.Parser.views in
+let counter name =
+  Option.value ~default:0 (List.assoc_opt name (Obs.snapshot ()).Obs.counters)
+
+let with_obs f =
   let was = Obs.enabled () in
   Obs.set_enabled true;
-  Fun.protect ~finally:(fun () -> Obs.set_enabled was) @@ fun () ->
-  let memo = P.Memo.create () in
+  Fun.protect ~finally:(fun () -> Obs.set_enabled was) f
+
+(* The full-result cache belongs to the session: a Tier-C add followed by
+   the remove of the same CFD returns Σ to a value seen before, so the
+   remove is answered from the cache without running the pipeline, and
+   the cover is byte-identical to a fresh run. *)
+let test_result_cache_round_trip () =
+  let open Fixtures in
+  with_obs @@ fun () ->
   let s =
     ok_exn
-      (Session.create ~memo ~name:"d" ~view ~sigma:parsed.Syntax.Parser.cfds
-         ())
+      (Session.create ~memo:(P.Memo.create ()) ~name:"rt" ~view:q1
+         ~sigma:[ f1; f2 ] ())
   in
-  let counter name =
-    match List.assoc_opt name (Obs.snapshot ()).Obs.counters with
-    | Some n -> n
-    | None -> 0
+  let d = ok_exn (Session.add_cfd s cfd1) in
+  check_bool "add recomputed" true (d.Session.plan = Session.Recomputed);
+  let computed = counter "propcover.covers_computed" in
+  let d = ok_exn (Session.remove_cfd s cfd1) in
+  check_bool "remove recomputed" true (d.Session.plan = Session.Recomputed);
+  check_int "remove answered from the cache" computed
+    (counter "propcover.covers_computed");
+  check_bool "cached cover matches fresh batch" true (covers_match s)
+
+(* Recorders are per run, so an explain neither stalls nor perturbs
+   another session's recompute.  One domain applies Tier-A deltas to
+   session A (R2 feeds no atom of q1, so they touch no memo) and explains
+   phi4 after each, which records A's attribution afresh; the other
+   applies Tier-C deltas to session B, each on a new Σ.  A's explains
+   keep citing cfd1, B's covers match fresh batch runs, and B's
+   recomputes still hit the slice memo — the only memo traffic here is
+   B's. *)
+let test_explain_beside_recomputes () =
+  let open Fixtures in
+  with_obs @@ fun () ->
+  let session name sigma =
+    ok_exn
+      (Session.create ~memo:(P.Memo.create ()) ~name ~view:q1 ~sigma ())
   in
-  check_int "store cold on the initial cover" 0 (counter "rbr.delta_seeded");
-  (* [a] -> [d] survives R's minimal-cover slice: Tier C. *)
-  let d = ok_exn (Session.add_cfd s (C.fd "R" [ "a" ] "d")) in
-  check_bool "delta recomputed" true (d.Session.plan = Session.Recomputed);
-  check_bool "recompute entered RBR seeded" true
-    (counter "rbr.delta_seeded" >= 1);
-  check_bool "derivations were reused" true (counter "rbr.delta_reuse" >= 1);
-  check_bool "seeded cover matches fresh batch" true (covers_match s)
+  let a = session "a" [ f1; f2; cfd1 ] in
+  let b = session "b" [ f1; f2 ] in
+  let hits0 = counter "memo.hits" in
+  let r2 = C.fd "R2" [ "zip" ] "street" in
+  let adds =
+    [
+      cfd1;
+      C.fd "R1" [ "name" ] "city";
+      C.fd "R1" [ "phn" ] "name";
+      C.fd "R1" [ "street" ] "zip";
+      C.fd "R1" [ "city"; "name" ] "phn";
+    ]
+  in
+  let in_domain f =
+    Stdlib.Domain.spawn (fun () ->
+        let r = f () in
+        Obs.flush_domain ();
+        r)
+  in
+  let explainer =
+    in_domain (fun () ->
+        List.for_all
+          (fun i ->
+            let delta = if i mod 2 = 0 then Session.add_cfd else Session.remove_cfd in
+            ignore (ok_exn (delta a r2));
+            let e = ok_exn (Session.explain a phi4) in
+            e.Session.propagated
+            && List.exists
+                 (fun (_, srcs) -> List.exists (C.equal (C.canonical cfd1)) srcs)
+                 e.Session.sources)
+          (List.init 6 Fun.id))
+  in
+  let recomputer =
+    in_domain (fun () ->
+        List.for_all
+          (fun c ->
+            let d = ok_exn (Session.add_cfd b c) in
+            d.Session.plan = Session.Recomputed && covers_match b)
+          adds)
+  in
+  check_bool "A's explains cite cfd1" true (Stdlib.Domain.join explainer);
+  check_bool "B's Tier-C covers match fresh batch runs" true
+    (Stdlib.Domain.join recomputer);
+  (* Per add: line 1 of the recompute hits the slice the Tier-B check
+     filed, and the slice refresh after it hits again. *)
+  check_bool "B's recomputes hit the slice memo" true
+    (counter "memo.hits" - hits0 >= 2 * List.length adds)
 
 let suite =
   [
@@ -562,6 +612,7 @@ let suite =
     ("cover invariant under sigma order", `Quick, test_sigma_order_invariant);
     ("concurrent hammer", `Quick, test_concurrent_hammer);
     ("replicated swap torture", `Quick, test_replicated_swap_torture);
-    ("delta seeding counters", `Quick, test_delta_seeding_counters);
+    ("result cache answers a round trip", `Quick, test_result_cache_round_trip);
+    ("explain beside recomputes", `Quick, test_explain_beside_recomputes);
   ]
   @ List.map QCheck_alcotest.to_alcotest [ prop_walk ]
