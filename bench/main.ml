@@ -39,9 +39,10 @@ let seeds = ref 3
 (* --points N truncates every figure sweep to its first N x-values (CI
    smoke runs); --json PATH dumps figure results machine-readably;
    --domains N runs the per-point seed repetitions on a domain pool;
-   --stats enables the engine's observability sink and prints a per-figure
-   counter/span table (per-point stats are embedded in --json output);
-   --stats-json PATH additionally dumps the aggregated stats as JSON. *)
+   --stats records engine counters and durations (per-phase spans and
+   request latencies as histograms) and prints a per-figure table
+   (per-point stats are embedded in --json output); --stats-json PATH
+   additionally dumps the aggregated stats as JSON. *)
 let max_points = ref None
 let json_path = ref None
 let pool = ref None
@@ -598,9 +599,6 @@ type serve_run = {
   sv_swaps : int;  (** epoch swaps = non-noop deltas the session applied *)
   sv_replica_reads : int array;
       (** engine acquisitions per replica slot (round-robin balance) *)
-  sv_hists : (string * Obs.hist) list;
-      (** per-op request histograms ([serve.req_us.<op>]) for this run's
-          measured stream only *)
 }
 
 let serve_run_one ~seed ~domains ~var_pct =
@@ -694,15 +692,6 @@ let serve_run_one ~seed ~domains ~var_pct =
     | [] -> []
     | l -> take 64 l :: chunks (drop 64 l)
   in
-  (* Enabling the histogram channel resets its shards, so the per-op
-     request histograms captured below cover exactly this run's measured
-     stream.  When the channel is already on, leave it alone — enabling
-     again would clobber whatever an outer scope is accumulating — and
-     accept that the captured histograms then include the outer data.
-     The observe cost (one bucket increment per request) is in the noise
-     next to a cover pull or a Σ-delta. *)
-  let hist_was = Obs.hist_enabled () in
-  if not hist_was then Obs.set_hist_enabled true;
   let t, errors =
     time (fun () ->
         List.fold_left
@@ -719,15 +708,9 @@ let serve_run_one ~seed ~domains ~var_pct =
                    resps))
           0 (chunks lines))
   in
-  let run_hists =
-    let prefix = "serve.req_us." in
-    let plen = String.length prefix in
-    List.filter
-      (fun (n, _) ->
-        String.length n > plen && String.sub n 0 plen = prefix)
-      (Obs.snapshot ()).Obs.hists
-  in
-  if not hist_was then Obs.set_hist_enabled false;
+  (* Drain this domain's trace ring into the sink once per run: a point's
+     six runs together overflow one ring. *)
+  Obs.flush_domain ();
   if errors > 0 then begin
     Fmt.epr "serve bench: %d error responses in the request stream@." errors;
     exit 2
@@ -769,20 +752,7 @@ let serve_run_one ~seed ~domains ~var_pct =
     sv_deltas = !ndeltas;
     sv_swaps = st.Serve.Session.patches + st.Serve.Session.fallbacks;
     sv_replica_reads = Serve.Session.replica_reads s;
-    sv_hists = run_hists;
   }
-
-(* Pointwise merge of per-run histogram tables, keyed by name. *)
-let merge_hist_tables tables =
-  List.fold_left
-    (fun acc hs ->
-      List.fold_left
-        (fun acc (n, h) ->
-          match List.assoc_opt n acc with
-          | Some p -> (n, Obs.hist_merge p h) :: List.remove_assoc n acc
-          | None -> (n, h) :: acc)
-        acc hs)
-    [] tables
 
 let serve_point ~domains ~var_pct =
   let runs =
@@ -813,8 +783,7 @@ let serve_point ~domains ~var_pct =
     mean (List.map (fun r -> r.sv_qps) runs),
     imean (List.map (fun r -> r.sv_deltas) runs),
     ( imean (List.map (fun r -> r.sv_swaps) runs),
-      replica_reads ),
-    merge_hist_tables (List.map (fun r -> r.sv_hists) runs) )
+      replica_reads ) )
 
 let serve_qps () =
   let points =
@@ -832,41 +801,47 @@ let serve_qps () =
     List.map
       (fun domains ->
         if !stats_on || !trace_path <> None then Obs.reset ();
-        let p40, qps40, deltas40, (swaps40, reads40), hists40 =
+        (* One duration window per point, over all its runs: the per-op
+           request histograms below come from this point's snapshot.  The
+           observe cost (one bucket increment per request) is in the noise
+           next to a cover pull or a Σ-delta. *)
+        Obs.set_hist_enabled true;
+        let p40, qps40, deltas40, (swaps40, reads40) =
           serve_point ~domains ~var_pct:40
         in
-        let p50, qps50, _deltas50, (swaps50, reads50), hists50 =
+        let p50, qps50, _deltas50, (swaps50, reads50) =
           serve_point ~domains ~var_pct:50
         in
-        let hists = merge_hist_tables [ hists40; hists50 ] in
         (match !trace_path with
          | Some base ->
            Obs.write_trace (Printf.sprintf "%s.serve.x%d.json" base domains);
            Obs.write_trace base
          | None -> ());
+        let snap = Obs.snapshot () in
         let stats =
           if !stats_on then begin
-            let s = Obs.snapshot () in
             Obs.reset ();
-            Some s
+            Some snap
           end
-          else None
+          else begin
+            Obs.set_hist_enabled false;
+            None
+          end
         in
         Fmt.pr "%-8d %12.0f %12.0f %10.1f %10.1f@." domains qps40 qps50
           p40.cover p50.cover;
         let ops_json =
-          let plen = String.length "serve.req_us." in
-          hists
-          |> List.sort (fun (a, _) (b, _) -> compare a b)
-          |> List.map (fun (n, h) ->
-                 let op = String.sub n plen (String.length n - plen) in
-                 Printf.sprintf
-                   "%S: {\"count\": %d, \"p50_us\": %.1f, \"p95_us\": \
-                    %.1f, \"p99_us\": %.1f}"
-                   op h.Obs.h_count
-                   (Obs.hist_quantile h 0.5)
-                   (Obs.hist_quantile h 0.95)
-                   (Obs.hist_quantile h 0.99))
+          [ "add_cfd"; "cover"; "propagates"; "remove_cfd" ]
+          |> List.filter_map (fun op ->
+                 List.assoc_opt ("serve.req_us." ^ op) snap.Obs.hists
+                 |> Option.map (fun h ->
+                        Printf.sprintf
+                          "%S: {\"count\": %d, \"p50_us\": %.1f, \
+                           \"p95_us\": %.1f, \"p99_us\": %.1f}"
+                          op h.Obs.h_count
+                          (Obs.hist_quantile h 0.5)
+                          (Obs.hist_quantile h 0.95)
+                          (Obs.hist_quantile h 0.99)))
           |> String.concat ", "
         in
         let jarr a =
@@ -1413,7 +1388,10 @@ let () =
   let chosen = chosen @ (if !want_xl then [ "xl" ] else []) in
   let chosen = chosen @ (if !want_fleet then [ "fleet" ] else []) in
   let chosen = chosen @ (if !want_serve then [ "serve" ] else []) in
-  if !stats_on then Obs.set_enabled true;
+  if !stats_on then begin
+    Obs.set_enabled true;
+    Obs.set_hist_enabled true
+  end;
   if !trace_path <> None then Obs.set_trace_enabled true;
   if !domains > 1 then pool := Some (Parallel.Pool.create ~size:!domains ());
   Fmt.pr "PropCFD_SPC benchmark harness -- %d seed(s) per point%s%s%s@." !seeds

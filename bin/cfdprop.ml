@@ -56,6 +56,29 @@ let warn_finite (doc : Parser.document) =
       "note: the schema has finite-domain attributes; cover computation@ \
        assumes the infinite-domain setting (Section 4).@."
 
+(* --stats / --stats-json: record counters and durations for the run... *)
+let start_stats stats stats_json =
+  if stats || stats_json <> None then begin
+    Obs.set_enabled true;
+    Obs.set_hist_enabled true
+  end
+
+(* ...then print them to stderr (results go to stdout; the engine stats
+   are diagnostics) and/or write them as JSON. *)
+let dump_stats stats stats_json =
+  if stats || stats_json <> None then begin
+    let s = Obs.snapshot () in
+    if stats then Fmt.epr "%a" Obs.pp s;
+    Option.iter
+      (fun path ->
+        let oc = open_out path in
+        output_string oc (Obs.to_json s);
+        output_char oc '\n';
+        close_out oc;
+        Fmt.epr "# wrote engine stats to %s@." path)
+      stats_json
+  end
+
 (* --- commands ----------------------------------------------------------- *)
 
 let validate path =
@@ -88,7 +111,7 @@ let cover path view_name chunk bound stats stats_json why provenance_json =
       max_intermediate = bound;
     }
   in
-  if stats || stats_json <> None then Obs.set_enabled true;
+  start_stats stats stats_json;
   let prov = Propagation.Provenance.create () in
   let provenance = if why || provenance_json <> None then Some prov else None in
   let r = Propagation.Propcover.cover ~options ?provenance view sigma in
@@ -117,19 +140,7 @@ let cover path view_name chunk bound stats stats_json why provenance_json =
       close_out oc;
       Fmt.epr "# wrote cover provenance to %s@." p)
     provenance_json;
-  if Obs.enabled () then begin
-    let s = Obs.snapshot () in
-    (* The cover itself goes to stdout; the engine stats are diagnostics. *)
-    if stats then Fmt.epr "%a" Obs.pp s;
-    Option.iter
-      (fun path ->
-        let oc = open_out path in
-        output_string oc (Obs.to_json s);
-        output_char oc '\n';
-        close_out oc;
-        Fmt.epr "# wrote engine stats to %s@." path)
-      stats_json
-  end;
+  dump_stats stats stats_json;
   0
 
 (* Propagate the source CFDs through every declared view in one shared-memo
@@ -150,7 +161,7 @@ let fleet path views_csv domains stats stats_json =
     exit 2
   end;
   let sigma = source_cfds doc in
-  if stats || stats_json <> None then Obs.set_enabled true;
+  start_stats stats stats_json;
   let pool =
     if domains > 1 then Some (Parallel.Pool.create ~size:domains ()) else None
   in
@@ -198,18 +209,7 @@ let fleet path views_csv domains stats stats_json =
     fr.Propagation.Fleet.classes
     (Propagation.Memo.entries fr.Propagation.Fleet.memo)
     (if Propagation.Memo.entries fr.Propagation.Fleet.memo = 1 then "y" else "ies");
-  if Obs.enabled () then begin
-    let s = Obs.snapshot () in
-    if stats then Fmt.epr "%a" Obs.pp s;
-    Option.iter
-      (fun path ->
-        let oc = open_out path in
-        output_string oc (Obs.to_json s);
-        output_char oc '\n';
-        close_out oc;
-        Fmt.epr "# wrote engine stats to %s@." path)
-      stats_json
-  end;
+  dump_stats stats stats_json;
   Option.iter Parallel.Pool.shutdown pool;
   if !failures = 0 then 0 else 1
 
@@ -404,6 +404,13 @@ open Cmdliner
 let path_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"Declaration file.")
 
+let stats_json_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "stats-json" ] ~docv:"PATH"
+        ~doc:"Write the recorded engine stats to $(docv) as JSON.")
+
 let view_arg =
   Arg.(value & opt (some string) None & info [ "view" ] ~docv:"NAME" ~doc:"View to use.")
 
@@ -439,15 +446,9 @@ let cover_cmd =
       value & flag
       & info [ "stats" ]
           ~doc:
-            "Record engine counters and per-phase timing spans during the \
-             cover computation and print them to stderr.")
-  in
-  let stats_json =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "stats-json" ] ~docv:"PATH"
-          ~doc:"Write the recorded engine stats to $(docv) as JSON.")
+            "Record engine counters and per-phase durations (count, sum, \
+             p50/p90/p99, max) during the cover computation and print them \
+             to stderr.")
   in
   let why =
     Arg.(
@@ -470,7 +471,7 @@ let cover_cmd =
     (Cmd.info "cover"
        ~doc:"Compute the minimal propagation cover of the source CFDs through a view.")
     Term.(
-      const cover $ path_arg $ view_arg $ chunk $ bound $ stats $ stats_json
+      const cover $ path_arg $ view_arg $ chunk $ bound $ stats $ stats_json_arg
       $ why $ provenance_json)
 
 let check_cmd =
@@ -526,15 +527,8 @@ let fleet_cmd =
       & info [ "stats" ]
           ~doc:
             "Record engine counters (including memo hit/miss rates) and \
-             per-phase timing spans during the fleet run and print them to \
+             per-phase durations during the fleet run and print them to \
              stderr.")
-  in
-  let stats_json =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "stats-json" ] ~docv:"PATH"
-          ~doc:"Write the recorded engine stats to $(docv) as JSON.")
   in
   Cmd.v
     (Cmd.info "fleet"
@@ -543,7 +537,7 @@ let fleet_cmd =
           sharing covers and implication verdicts between isomorphic views \
           through a cross-view memo; declared view-level CFDs are checked \
           against the fleet covers.")
-    Term.(const fleet $ path_arg $ views_csv $ domains $ stats $ stats_json)
+    Term.(const fleet $ path_arg $ views_csv $ domains $ stats $ stats_json_arg)
 
 let audit_cmd =
   let repair_flag =
@@ -566,18 +560,13 @@ let audit_cmd =
 
 let serve once tcp_port domains replicas max_line stats stats_json
     metrics_port access_log slow_ms =
-  if stats || stats_json <> None then Obs.set_enabled true;
-  (* A metrics endpoint without data is useless: --metrics-port implies
-     both recording channels (histograms for percentiles, counters for
-     the *_total families). *)
-  if metrics_port <> None then begin
-    if not (Obs.enabled ()) then Obs.set_enabled true;
-    Obs.set_hist_enabled true
-  end
-  else if access_log <> None || slow_ms <> None then
-    (* Percentile-grade latency in the log path costs nothing extra once
-       requests are being timed anyway. *)
-    Obs.set_hist_enabled true;
+  (* A metrics endpoint without data is useless: --metrics-port records
+     what --stats does (durations for percentiles, counters for the
+     *_total families). *)
+  start_stats (stats || metrics_port <> None) stats_json;
+  (* Percentile-grade latency in the log path costs nothing extra once
+     requests are being timed anyway. *)
+  if access_log <> None || slow_ms <> None then Obs.set_hist_enabled true;
   let pool =
     if domains > 1 then Some (Parallel.Pool.create ~size:domains ())
     else None
@@ -628,18 +617,7 @@ let serve once tcp_port domains replicas max_line stats stats_json
   Option.iter Stdlib.Domain.join metrics_domain;
   Option.iter close_out log_oc;
   Option.iter Parallel.Pool.shutdown pool;
-  if Obs.enabled () then begin
-    let s = Obs.snapshot () in
-    if stats then Fmt.epr "%a" Obs.pp s;
-    Option.iter
-      (fun path ->
-        let oc = open_out path in
-        output_string oc (Obs.to_json s);
-        output_char oc '\n';
-        close_out oc;
-        Fmt.epr "# wrote engine stats to %s@." path)
-      stats_json
-  end;
+  dump_stats stats stats_json;
   (* Scripted transcripts (--once) fail loudly when any line errored. *)
   if once && errors > 0 then 1 else 0
 
@@ -693,15 +671,8 @@ let serve_cmd =
       & info [ "stats" ]
           ~doc:
             "Record engine counters (serve.requests, serve.delta_patches, \
-             serve.fallbacks, memo hits) and timing spans; print them to \
-             stderr on exit.")
-  in
-  let stats_json =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "stats-json" ] ~docv:"PATH"
-          ~doc:"Write the recorded engine stats to $(docv) as JSON.")
+             serve.fallbacks, memo hits) and durations (request latencies \
+             and per-phase spans); print them to stderr on exit.")
   in
   let metrics_port =
     Arg.(
@@ -713,7 +684,8 @@ let serve_cmd =
              127.0.0.1:$(docv)/metrics (0 picks a free port, announced on \
              stderr): request-latency histograms per op and per delta tier, \
              engine counters, and live gauges (resident sessions, session \
-             epochs, memo entries, trace drops).  Implies recording.")
+             epochs, memo entries, trace drops).  Records what --stats \
+             records.")
   in
   let access_log =
     Arg.(
@@ -744,7 +716,7 @@ let serve_cmd =
           when a delta escapes its relation's minimal-cover slice).")
     Term.(
       const serve $ once $ tcp_port $ domains $ replicas $ max_line $ stats
-      $ stats_json $ metrics_port $ access_log $ slow_ms)
+      $ stats_json_arg $ metrics_port $ access_log $ slow_ms)
 
 let () =
   Format.pp_set_margin Format.std_formatter 10_000;

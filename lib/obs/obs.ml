@@ -1,5 +1,4 @@
 type counter = int
-type span = int
 type histogram = int
 
 (* --- metric registries -------------------------------------------------- *)
@@ -14,7 +13,6 @@ type registry = {
 
 let reg_mutex = Mutex.create ()
 let counters_reg = { names = [||]; n = 0; index = Hashtbl.create 64 }
-let spans_reg = { names = [||]; n = 0; index = Hashtbl.create 64 }
 let hists_reg = { names = [||]; n = 0; index = Hashtbl.create 64 }
 
 let register reg name =
@@ -44,7 +42,6 @@ let registered_names reg =
   a
 
 let counter name = register counters_reg name
-let span name = register spans_reg name
 let histogram name = register hists_reg name
 
 (* --- histogram bucket layout --------------------------------------------- *)
@@ -93,99 +90,67 @@ let bucket_lower_us i =
 let bucket_upper_us i =
   if i >= hist_buckets - 1 then infinity else bucket_lower_us (i + 1)
 
-(* --- sink --------------------------------------------------------------- *)
+(* --- shards ------------------------------------------------------------- *)
 
 let enabled_flag = Atomic.make false
 let enabled () = Atomic.get enabled_flag
 
-(* Histograms have their own flag so a bench can collect latency
-   percentiles without paying for the counter/span channels (and vice
-   versa).  The disabled cost is the same contract: one atomic load. *)
+(* Durations have their own flag so a bench can collect latency
+   percentiles without paying for the counter channel (and vice versa).
+   The disabled cost is the same contract: one atomic load. *)
 let hist_flag = Atomic.make false
 let hist_enabled () = Atomic.get hist_flag
 
-(* Global accumulators, guarded by [sink_mutex]; indexed by metric id. *)
-let sink_mutex = Mutex.create ()
-let g_counts = ref [||]
-let g_hits = ref [||]
-let g_secs = ref [||]
-let g_hn = ref [||]
-let g_hsum = ref [||]
-let g_hmax = ref [||]
-let g_hbuckets : int array array ref = ref [||]
-
-let grow_int a n =
-  if Array.length a >= n then a
-  else begin
-    let b = Array.make (max n (max 16 (2 * Array.length a))) 0 in
-    Array.blit a 0 b 0 (Array.length a);
-    b
-  end
-
-let grow_float a n =
-  if Array.length a >= n then a
-  else begin
-    let b = Array.make (max n (max 16 (2 * Array.length a))) 0. in
-    Array.blit a 0 b 0 (Array.length a);
-    b
-  end
-
-let grow_arr a n =
-  if Array.length a >= n then a
-  else begin
-    let b = Array.make (max n (max 16 (2 * Array.length a))) [||] in
-    Array.blit a 0 b 0 (Array.length a);
-    b
-  end
-
-(* Domain-local buffer: unsynchronised writes, merged at flush points.
-   Histogram shards live in the same buffer; bucket arrays are allocated
-   lazily per histogram on first observation. *)
-type buf = {
+(* One shard holds both channels, indexed by metric id: counter values,
+   and per histogram its count, exact sum and max, and bucket array
+   (allocated on first observation).  Every domain writes its own shard
+   unsynchronised; the global sink is one more shard, guarded by
+   [sink_mutex], into which the domain shards are merged at flush
+   points. *)
+type shard = {
   mutable counts : int array;
-  mutable hits : int array;
-  mutable secs : float array;
-  mutable dirty : bool;
   mutable hn : int array;
   mutable hsum : float array;
   mutable hmax : float array;
   mutable hbuckets : int array array;
-  mutable hdirty : bool;
+  mutable dirty : bool;
 }
 
-(* Every domain's buffer, registered at creation and guarded by
+let new_shard () =
+  { counts = [||]; hn = [||]; hsum = [||]; hmax = [||]; hbuckets = [||]; dirty = false }
+
+let sink_mutex = Mutex.create ()
+let sink = new_shard ()
+
+let grow a n fill =
+  if Array.length a >= n then a
+  else begin
+    let b = Array.make (max n (max 16 (2 * Array.length a))) fill in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  end
+
+(* Every domain's shard, registered at creation and guarded by
    [sink_mutex].  [snapshot] merges these live shards on top of the sink,
    so a reader in one domain (the Prometheus responder, a stats op) sees
    what other domains have recorded without requiring them to hit a flush
-   point first.  Buffers of finished domains stay registered; they are
+   point first.  Shards of finished domains stay registered; they are
    empty once the domain's final flush has run, so merging them is a
    no-op. *)
-let all_bufs : buf list ref = ref []
+let all_shards : shard list ref = ref []
 
-let buf_key =
+let shard_key =
   Domain.DLS.new_key (fun () ->
-      let b =
-        {
-          counts = [||];
-          hits = [||];
-          secs = [||];
-          dirty = false;
-          hn = [||];
-          hsum = [||];
-          hmax = [||];
-          hbuckets = [||];
-          hdirty = false;
-        }
-      in
+      let b = new_shard () in
       Mutex.lock sink_mutex;
-      all_bufs := b :: !all_bufs;
+      all_shards := b :: !all_shards;
       Mutex.unlock sink_mutex;
       b)
 
 let add c n =
   if n <> 0 && Atomic.get enabled_flag then begin
-    let b = Domain.DLS.get buf_key in
-    if Array.length b.counts <= c then b.counts <- grow_int b.counts (c + 1);
+    let b = Domain.DLS.get shard_key in
+    if Array.length b.counts <= c then b.counts <- grow b.counts (c + 1) 0;
     b.counts.(c) <- b.counts.(c) + n;
     b.dirty <- true
   end
@@ -194,12 +159,12 @@ let incr c = add c 1
 
 let observe_us h v =
   if Atomic.get hist_flag then begin
-    let b = Domain.DLS.get buf_key in
+    let b = Domain.DLS.get shard_key in
     if Array.length b.hn <= h then begin
-      b.hn <- grow_int b.hn (h + 1);
-      b.hsum <- grow_float b.hsum (h + 1);
-      b.hmax <- grow_float b.hmax (h + 1);
-      b.hbuckets <- grow_arr b.hbuckets (h + 1)
+      b.hn <- grow b.hn (h + 1) 0;
+      b.hsum <- grow b.hsum (h + 1) 0.;
+      b.hmax <- grow b.hmax (h + 1) 0.;
+      b.hbuckets <- grow b.hbuckets (h + 1) [||]
     end;
     if Array.length b.hbuckets.(h) = 0 then
       b.hbuckets.(h) <- Array.make hist_buckets 0;
@@ -208,20 +173,53 @@ let observe_us h v =
     b.hn.(h) <- b.hn.(h) + 1;
     b.hsum.(h) <- b.hsum.(h) +. v;
     if v > b.hmax.(h) then b.hmax.(h) <- v;
-    b.hdirty <- true
-  end
-
-let record_span s dt =
-  if Atomic.get enabled_flag then begin
-    let b = Domain.DLS.get buf_key in
-    if Array.length b.hits <= s then begin
-      b.hits <- grow_int b.hits (s + 1);
-      b.secs <- grow_float b.secs (s + 1)
-    end;
-    b.hits.(s) <- b.hits.(s) + 1;
-    b.secs.(s) <- b.secs.(s) +. dt;
     b.dirty <- true
   end
+
+(* [accumulate dst src] adds [src] into [dst]: counts and sums add,
+   maxima take the max, buckets add pointwise.  [src] may be another
+   domain's live shard, whose owner grows its co-indexed arrays one after
+   the other; a racing read can see them momentarily unequal, so iterate
+   to the shortest (the tail is unobserved-yet data anyway). *)
+let accumulate dst src =
+  let nc = Array.length src.counts in
+  dst.counts <- grow dst.counts nc 0;
+  for i = 0 to nc - 1 do
+    if src.counts.(i) <> 0 then dst.counts.(i) <- dst.counts.(i) + src.counts.(i)
+  done;
+  let nh =
+    min
+      (min (Array.length src.hn) (Array.length src.hsum))
+      (min (Array.length src.hmax) (Array.length src.hbuckets))
+  in
+  dst.hn <- grow dst.hn nh 0;
+  dst.hsum <- grow dst.hsum nh 0.;
+  dst.hmax <- grow dst.hmax nh 0.;
+  dst.hbuckets <- grow dst.hbuckets nh [||];
+  for i = 0 to nh - 1 do
+    if src.hn.(i) > 0 then begin
+      dst.hn.(i) <- dst.hn.(i) + src.hn.(i);
+      dst.hsum.(i) <- dst.hsum.(i) +. src.hsum.(i);
+      if src.hmax.(i) > dst.hmax.(i) then dst.hmax.(i) <- src.hmax.(i);
+      let s = src.hbuckets.(i) in
+      if Array.length s > 0 then begin
+        if Array.length dst.hbuckets.(i) = 0 then
+          dst.hbuckets.(i) <- Array.make hist_buckets 0;
+        let d = dst.hbuckets.(i) in
+        for k = 0 to hist_buckets - 1 do
+          if s.(k) <> 0 then d.(k) <- d.(k) + s.(k)
+        done
+      end
+    end
+  done
+
+let clear_counts s = Array.fill s.counts 0 (Array.length s.counts) 0
+
+let clear_hists s =
+  Array.fill s.hn 0 (Array.length s.hn) 0;
+  Array.fill s.hsum 0 (Array.length s.hsum) 0.;
+  Array.fill s.hmax 0 (Array.length s.hmax) 0.;
+  Array.iter (fun a -> Array.fill a 0 (Array.length a) 0) s.hbuckets
 
 (* CLOCK_MONOTONIC nanoseconds via the C stub (obs_clock.c): NTP steps
    can drag [gettimeofday] backwards, producing negative span durations
@@ -241,23 +239,10 @@ let minor_allocated f =
   f ();
   Gc.minor_words () -. before
 
-let span_name s =
-  Mutex.lock reg_mutex;
-  let n = if s < spans_reg.n then spans_reg.names.(s) else "?" in
-  Mutex.unlock reg_mutex;
-  n
-
-let with_span s f =
-  if not (Atomic.get enabled_flag) then f ()
-  else begin
-    let t0 = now () in
-    Fun.protect ~finally:(fun () -> record_span s (now () -. t0)) f
-  end
-
 (* --- trace-event timeline ------------------------------------------------ *)
 
 (* Chrome trace-event recorder (loadable in Perfetto / chrome://tracing).
-   Same discipline as the counters: a per-domain ring buffer takes
+   Same discipline as the shards: a per-domain ring buffer takes
    unsynchronised writes and drains into the global sink at the existing
    flush points (snapshot, pool task end).  The ring has a fixed capacity
    and *drops* on overflow (counted) instead of overwriting — and it always
@@ -344,7 +329,6 @@ let push_event b ev =
    track the order is chronological (each domain flushes its ring in record
    order, and flushes from one domain are serialised). *)
 let g_events : event list ref = ref [] (* reversed *)
-let g_events_n = ref 0
 let g_tdropped = ref 0
 
 let flush_trace_domain () =
@@ -354,7 +338,6 @@ let flush_trace_domain () =
     for i = 0 to b.tlen - 1 do
       g_events := b.ring.(i) :: !g_events
     done;
-    g_events_n := !g_events_n + b.tlen;
     g_tdropped := !g_tdropped + b.tdropped;
     Mutex.unlock sink_mutex;
     b.tlen <- 0;
@@ -420,20 +403,36 @@ let trace_instant ?(args = []) name =
     else b.tdropped <- b.tdropped + 1
   end
 
+(* --- spans ---------------------------------------------------------------- *)
+
 (* Per-phase GC accounting: the outermost traced span on each domain also
    publishes the deltas as counters (children are included in the parent,
    so only depth 0 counts — no double counting). *)
-let c_gc_minor_words = register counters_reg "gc.minor_words"
-let c_gc_major_words = register counters_reg "gc.major_words"
-let c_gc_minor_collections = register counters_reg "gc.minor_collections"
-let c_gc_major_collections = register counters_reg "gc.major_collections"
+let c_gc_minor_words = counter "gc.minor_words"
+let c_gc_major_words = counter "gc.major_words"
+let c_gc_minor_collections = counter "gc.minor_collections"
+let c_gc_major_collections = counter "gc.major_collections"
 
-let with_span_traced s f =
-  if not (Atomic.get trace_flag) then with_span s f
+let hist_name h =
+  Mutex.lock reg_mutex;
+  let n = if h < hists_reg.n then hists_reg.names.(h) else "?" in
+  Mutex.unlock reg_mutex;
+  n
+
+let timed h f =
+  if not (Atomic.get hist_flag) then f ()
   else begin
-    let name = span_name s in
-    let b = Domain.DLS.get tbuf_key in
-    let outermost = b.span_stack = [] in
+    let t0 = now () in
+    Fun.protect ~finally:(fun () -> observe_us h ((now () -. t0) *. 1e6)) f
+  end
+
+(* A span is the histogram of its durations, plus — while the timeline
+   records — a B/E event pair carrying the span's [Gc.quick_stat] deltas. *)
+let with_span h f =
+  if not (Atomic.get trace_flag) then timed h f
+  else begin
+    let name = hist_name h in
+    let outermost = (Domain.DLS.get tbuf_key).span_stack = [] in
     let g0 = Gc.quick_stat () in
     trace_begin name;
     Fun.protect
@@ -458,8 +457,10 @@ let with_span_traced s f =
               ("gc_major_collections", string_of_int major_c);
             ]
           name)
-      (fun () -> with_span s f)
+      (fun () -> timed h f)
   end
+
+(* --- channel switches and flushing ------------------------------------- *)
 
 let trace_reset () =
   let b = Domain.DLS.get tbuf_key in
@@ -469,16 +470,12 @@ let trace_reset () =
   b.span_stack <- [];
   Mutex.lock sink_mutex;
   g_events := [];
-  g_events_n := 0;
   g_tdropped := 0;
   Mutex.unlock sink_mutex
 
 let set_trace_enabled on =
-  if on then begin
-    trace_reset ();
-    Atomic.set trace_flag true
-  end
-  else Atomic.set trace_flag false
+  if on then trace_reset ();
+  Atomic.set trace_flag on
 
 let trace_dropped () =
   let b = Domain.DLS.get tbuf_key in
@@ -492,20 +489,10 @@ let trace_events () =
   Mutex.lock sink_mutex;
   let evs = List.rev !g_events in
   Mutex.unlock sink_mutex;
-  (* Stable sort by track keeps each track's chronological record order;
-     the per-track monotone clamp is a safety net kept from the
-     gettimeofday era (the clock is monotonic now, so it is a no-op). *)
-  let evs =
-    List.stable_sort (fun (a : event) (b : event) -> Int.compare a.tid b.tid) evs
-  in
-  let last = Hashtbl.create 8 in
-  List.map
-    (fun (ev : event) ->
-      let floor = Option.value ~default:neg_infinity (Hashtbl.find_opt last ev.tid) in
-      let ts = if ev.ts_us < floor then floor else ev.ts_us in
-      Hashtbl.replace last ev.tid ts;
-      if ts = ev.ts_us then ev else { ev with ts_us = ts })
-    evs
+  (* A stable sort by track keeps each track's record order, which is
+     chronological: each domain records and flushes only its own ring, and
+     the clock is monotonic. *)
+  List.stable_sort (fun (a : event) (b : event) -> Int.compare a.tid b.tid) evs
 
 let trace_track_names () =
   Mutex.lock sink_mutex;
@@ -519,111 +506,41 @@ let trace_track_names () =
    flushed values twice (sink updated, shard not yet cleared). *)
 let flush_domain () =
   flush_trace_domain ();
-  let b = Domain.DLS.get buf_key in
+  let b = Domain.DLS.get shard_key in
   if b.dirty then begin
     Mutex.lock sink_mutex;
-    let nc = Array.length b.counts and ns = Array.length b.hits in
-    g_counts := grow_int !g_counts nc;
-    g_hits := grow_int !g_hits ns;
-    g_secs := grow_float !g_secs ns;
-    for i = 0 to nc - 1 do
-      !g_counts.(i) <- !g_counts.(i) + b.counts.(i)
-    done;
-    for i = 0 to ns - 1 do
-      !g_hits.(i) <- !g_hits.(i) + b.hits.(i);
-      !g_secs.(i) <- !g_secs.(i) +. b.secs.(i)
-    done;
-    Array.fill b.counts 0 nc 0;
-    Array.fill b.hits 0 ns 0;
-    Array.fill b.secs 0 ns 0.;
+    accumulate sink b;
+    clear_counts b;
+    clear_hists b;
     b.dirty <- false;
-    Mutex.unlock sink_mutex
-  end;
-  if b.hdirty then begin
-    Mutex.lock sink_mutex;
-    let nh = Array.length b.hn in
-    g_hn := grow_int !g_hn nh;
-    g_hsum := grow_float !g_hsum nh;
-    g_hmax := grow_float !g_hmax nh;
-    g_hbuckets := grow_arr !g_hbuckets nh;
-    for i = 0 to nh - 1 do
-      if b.hn.(i) > 0 then begin
-        !g_hn.(i) <- !g_hn.(i) + b.hn.(i);
-        !g_hsum.(i) <- !g_hsum.(i) +. b.hsum.(i);
-        if b.hmax.(i) > !g_hmax.(i) then !g_hmax.(i) <- b.hmax.(i);
-        if Array.length !g_hbuckets.(i) = 0 then
-          !g_hbuckets.(i) <- Array.make hist_buckets 0;
-        let src = b.hbuckets.(i) and dst = !g_hbuckets.(i) in
-        for k = 0 to hist_buckets - 1 do
-          if src.(k) <> 0 then dst.(k) <- dst.(k) + src.(k)
-        done
-      end
-    done;
-    Array.fill b.hn 0 (Array.length b.hn) 0;
-    Array.fill b.hsum 0 (Array.length b.hsum) 0.;
-    Array.fill b.hmax 0 (Array.length b.hmax) 0.;
-    Array.iter (fun a -> Array.fill a 0 (Array.length a) 0) b.hbuckets;
-    b.hdirty <- false;
     Mutex.unlock sink_mutex
   end
 
 (* Resets clear every registered shard, not just the calling domain's:
-   [snapshot] merges live shards, so data left in another domain's buffer
+   [snapshot] merges live shards, so data left in another domain's shard
    would survive the reset and reappear in the next snapshot.  Racing
    increments on other domains can straddle the reset either way; resets
    are only meaningful at quiescent points. *)
-let reset_hists () =
-  let b = Domain.DLS.get buf_key in
-  b.hdirty <- false;
+let clear_all clear =
   Mutex.lock sink_mutex;
-  List.iter
-    (fun b ->
-      Array.fill b.hn 0 (Array.length b.hn) 0;
-      Array.fill b.hsum 0 (Array.length b.hsum) 0.;
-      Array.fill b.hmax 0 (Array.length b.hmax) 0.;
-      Array.iter (fun a -> Array.fill a 0 (Array.length a) 0) b.hbuckets)
-    !all_bufs;
-  Array.fill !g_hn 0 (Array.length !g_hn) 0;
-  Array.fill !g_hsum 0 (Array.length !g_hsum) 0.;
-  Array.fill !g_hmax 0 (Array.length !g_hmax) 0.;
-  Array.iter (fun a -> Array.fill a 0 (Array.length a) 0) !g_hbuckets;
+  List.iter clear (sink :: !all_shards);
   Mutex.unlock sink_mutex
 
-let reset_stats () =
-  let b = Domain.DLS.get buf_key in
-  b.dirty <- false;
-  Mutex.lock sink_mutex;
-  List.iter
-    (fun b ->
-      Array.fill b.counts 0 (Array.length b.counts) 0;
-      Array.fill b.hits 0 (Array.length b.hits) 0;
-      Array.fill b.secs 0 (Array.length b.secs) 0.)
-    !all_bufs;
-  Array.fill !g_counts 0 (Array.length !g_counts) 0;
-  Array.fill !g_hits 0 (Array.length !g_hits) 0;
-  Array.fill !g_secs 0 (Array.length !g_secs) 0.;
-  Mutex.unlock sink_mutex;
-  reset_hists ()
-
-(* Counters, spans, AND trace events: a reset between bench points makes
-   every per-point snapshot (and trace file) self-contained. *)
+(* Every channel: a reset between bench points makes every per-point
+   snapshot (and trace file) self-contained. *)
 let reset () =
-  reset_stats ();
+  clear_all (fun s ->
+      clear_counts s;
+      clear_hists s);
   trace_reset ()
 
 let set_enabled on =
-  if on then begin
-    reset_stats ();
-    Atomic.set enabled_flag true
-  end
-  else Atomic.set enabled_flag false
+  if on then clear_all clear_counts;
+  Atomic.set enabled_flag on
 
 let set_hist_enabled on =
-  if on then begin
-    reset_hists ();
-    Atomic.set hist_flag true
-  end
-  else Atomic.set hist_flag false
+  if on then clear_all clear_hists;
+  Atomic.set hist_flag on
 
 (* --- snapshots and export ----------------------------------------------- *)
 
@@ -640,9 +557,18 @@ type snapshot = {
   hists : (string * hist) list;
 }
 
-let empty_snapshot = { counters = []; spans = []; hists = [] }
-
 let by_name (a, _) (b, _) = String.compare a b
+
+(* [spans] is derived, never stored: each histogram's count and total
+   seconds. *)
+let of_parts counters hists =
+  {
+    counters;
+    spans = List.map (fun (n, h) -> (n, (h.h_count, h.h_sum_us *. 1e-6))) hists;
+    hists;
+  }
+
+let empty_snapshot = of_parts [] []
 
 (* Smallest bucket whose cumulative count reaches rank [ceil (q*n)] —
    exactly the bucket holding the rank-based quantile of the observed
@@ -693,107 +619,41 @@ let hist_merge a b =
    shard. *)
 let snapshot () =
   flush_domain ();
+  let acc = new_shard () in
   Mutex.lock sink_mutex;
-  let counts = ref (Array.copy !g_counts) in
-  let hits = ref (Array.copy !g_hits) in
-  let secs = ref (Array.copy !g_secs) in
-  let hn = ref (Array.copy !g_hn) in
-  let hsum = ref (Array.copy !g_hsum) in
-  let hmax = ref (Array.copy !g_hmax) in
-  let hb = ref (Array.map Array.copy !g_hbuckets) in
-  List.iter
-    (fun b ->
-      let nc = Array.length b.counts in
-      counts := grow_int !counts nc;
-      for i = 0 to nc - 1 do
-        if b.counts.(i) <> 0 then !counts.(i) <- !counts.(i) + b.counts.(i)
-      done;
-      (* Co-indexed arrays are grown one after the other by their owner;
-         a racing grow can leave them momentarily unequal, so iterate to
-         the shortest (the tail is unobserved-yet data anyway). *)
-      let ns = min (Array.length b.hits) (Array.length b.secs) in
-      hits := grow_int !hits ns;
-      secs := grow_float !secs ns;
-      for i = 0 to ns - 1 do
-        if b.hits.(i) <> 0 then begin
-          !hits.(i) <- !hits.(i) + b.hits.(i);
-          !secs.(i) <- !secs.(i) +. b.secs.(i)
-        end
-      done;
-      let nh =
-        min
-          (min (Array.length b.hn) (Array.length b.hsum))
-          (min (Array.length b.hmax) (Array.length b.hbuckets))
-      in
-      hn := grow_int !hn nh;
-      hsum := grow_float !hsum nh;
-      hmax := grow_float !hmax nh;
-      hb := grow_arr !hb nh;
-      for i = 0 to nh - 1 do
-        if b.hn.(i) > 0 then begin
-          !hn.(i) <- !hn.(i) + b.hn.(i);
-          !hsum.(i) <- !hsum.(i) +. b.hsum.(i);
-          if b.hmax.(i) > !hmax.(i) then !hmax.(i) <- b.hmax.(i);
-          let src = b.hbuckets.(i) in
-          if Array.length src > 0 then begin
-            if Array.length !hb.(i) = 0 then
-              !hb.(i) <- Array.make hist_buckets 0;
-            let dst = !hb.(i) in
-            for k = 0 to hist_buckets - 1 do
-              if src.(k) <> 0 then dst.(k) <- dst.(k) + src.(k)
-            done
-          end
-        end
-      done)
-    !all_bufs;
-  let counts = !counts
-  and hits = !hits
-  and secs = !secs
-  and hn = !hn
-  and hsum = !hsum
-  and hmax = !hmax
-  and hb = !hb in
+  List.iter (accumulate acc) (sink :: !all_shards);
   Mutex.unlock sink_mutex;
-  let cnames = registered_names counters_reg in
-  let snames = registered_names spans_reg in
-  let hnames = registered_names hists_reg in
-  let counters = ref [] in
-  Array.iteri
-    (fun i name ->
-      if i < Array.length counts && counts.(i) <> 0 then
-        counters := (name, counts.(i)) :: !counters)
-    cnames;
-  let spans = ref [] in
-  Array.iteri
-    (fun i name ->
-      if i < Array.length hits && hits.(i) <> 0 then
-        spans := (name, (hits.(i), secs.(i))) :: !spans)
-    snames;
-  let hists = ref [] in
-  Array.iteri
-    (fun i name ->
-      if i < Array.length hn && hn.(i) <> 0 then begin
-        let buckets = ref [] in
-        let a = hb.(i) in
-        for k = Array.length a - 1 downto 0 do
-          if a.(k) <> 0 then buckets := (k, a.(k)) :: !buckets
-        done;
-        hists :=
-          ( name,
+  let collect reg n f =
+    let names = registered_names reg in
+    let out = ref [] in
+    for i = min n (Array.length names) - 1 downto 0 do
+      match f i with Some v -> out := (names.(i), v) :: !out | None -> ()
+    done;
+    List.sort by_name !out
+  in
+  let counters =
+    collect counters_reg (Array.length acc.counts) (fun i ->
+        if acc.counts.(i) <> 0 then Some acc.counts.(i) else None)
+  in
+  let hists =
+    collect hists_reg (Array.length acc.hn) (fun i ->
+        if acc.hn.(i) = 0 then None
+        else begin
+          let buckets = ref [] in
+          let a = acc.hbuckets.(i) in
+          for k = Array.length a - 1 downto 0 do
+            if a.(k) <> 0 then buckets := (k, a.(k)) :: !buckets
+          done;
+          Some
             {
-              h_count = hn.(i);
-              h_sum_us = hsum.(i);
-              h_max_us = hmax.(i);
+              h_count = acc.hn.(i);
+              h_sum_us = acc.hsum.(i);
+              h_max_us = acc.hmax.(i);
               h_buckets = !buckets;
-            } )
-          :: !hists
-      end)
-    hnames;
-  {
-    counters = List.sort by_name !counters;
-    spans = List.sort by_name !spans;
-    hists = List.sort by_name !hists;
-  }
+            }
+        end)
+  in
+  of_parts counters hists
 
 let merge a b =
   let merge_assoc combine xs ys =
@@ -807,17 +667,12 @@ let merge a b =
       ys;
     List.sort by_name (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
   in
-  {
-    counters = merge_assoc ( + ) a.counters b.counters;
-    spans =
-      merge_assoc
-        (fun (h1, s1) (h2, s2) -> (h1 + h2, s1 +. s2))
-        a.spans b.spans;
-    hists = merge_assoc hist_merge a.hists b.hists;
-  }
+  of_parts
+    (merge_assoc ( + ) a.counters b.counters)
+    (merge_assoc hist_merge a.hists b.hists)
 
 let pp ppf s =
-  if s.counters = [] && s.spans = [] && s.hists = [] then
+  if s.counters = [] && s.hists = [] then
     Format.fprintf ppf "(no observations recorded)@."
   else begin
     if s.counters <> [] then begin
@@ -826,22 +681,14 @@ let pp ppf s =
         (fun (name, v) -> Format.fprintf ppf "%-44s %14d@." name v)
         s.counters
     end;
-    if s.spans <> [] then begin
-      if s.counters <> [] then Format.fprintf ppf "@.";
-      Format.fprintf ppf "%-44s %8s %14s@." "span" "hits" "total_s";
-      List.iter
-        (fun (name, (h, t)) ->
-          Format.fprintf ppf "%-44s %8d %14.6f@." name h t)
-        s.spans
-    end;
     if s.hists <> [] then begin
-      if s.counters <> [] || s.spans <> [] then Format.fprintf ppf "@.";
-      Format.fprintf ppf "%-44s %8s %9s %9s %9s %9s@." "histogram" "count"
-        "p50_us" "p90_us" "p99_us" "max_us";
+      if s.counters <> [] then Format.fprintf ppf "@.";
+      Format.fprintf ppf "%-44s %8s %12s %9s %9s %9s %9s@." "histogram" "count"
+        "sum_us" "p50_us" "p90_us" "p99_us" "max_us";
       List.iter
         (fun (name, h) ->
-          Format.fprintf ppf "%-44s %8d %9.0f %9.0f %9.0f %9.0f@." name
-            h.h_count (hist_quantile h 0.5) (hist_quantile h 0.9)
+          Format.fprintf ppf "%-44s %8d %12.0f %9.0f %9.0f %9.0f %9.0f@." name
+            h.h_count h.h_sum_us (hist_quantile h 0.5) (hist_quantile h 0.9)
             (hist_quantile h 0.99) h.h_max_us)
         s.hists
     end
@@ -870,14 +717,6 @@ let to_json s =
       if i > 0 then Buffer.add_string b ", ";
       Buffer.add_string b (Printf.sprintf "\"%s\": %d" (json_escape name) v))
     s.counters;
-  Buffer.add_string b "}, \"spans\": {";
-  List.iteri
-    (fun i (name, (h, t)) ->
-      if i > 0 then Buffer.add_string b ", ";
-      Buffer.add_string b
-        (Printf.sprintf "\"%s\": {\"count\": %d, \"total_s\": %.6f}"
-           (json_escape name) h t))
-    s.spans;
   Buffer.add_string b "}, \"hists\": {";
   List.iteri
     (fun i (name, h) ->

@@ -1,65 +1,72 @@
-(** Engine observability: named monotonic counters and nestable timing
-    spans, accumulated per domain and merged into a global sink.
+(** Engine observability: three recording channels, each behind its own
+    flag.
+
+    - {b Counters} ({!set_enabled}): named monotonic counts.
+    - {b Durations} ({!set_hist_enabled}): log-linear histograms of
+      microseconds.  A timing span is simply the histogram of its
+      durations: {!with_span} times its body into one, and request
+      latencies are observed directly with {!observe_us}.
+    - {b Timeline} ({!set_trace_enabled}): Chrome trace events, one track
+      per domain; {!with_span} also emits a begin/end pair there.
 
     The library is built for a hot path that is instrumented permanently
-    but measured rarely: the default sink is a no-op, so a disabled
-    counter bump or span costs a single atomic load and branch.  When
-    recording is enabled ({!set_enabled}), increments land in a
-    domain-local buffer (no lock, no contention) and are merged into the
-    global sink under a mutex at explicit flush points — the parallel
-    pool flushes a worker's buffer at the end of every task, {e before}
-    the task is reported complete, so a [Pool.map] caller reading a
-    {!snapshot} right after the map returns sees every task's
+    but measured rarely: a disabled counter bump or observation costs a
+    single atomic load and branch, a disabled span two.  While a channel
+    is on, counts and observations land in the calling domain's shard (no
+    lock, no contention); the global sink is one more shard, into which a
+    domain's shard is merged under a mutex at explicit flush points.  The
+    parallel pool flushes a worker's shard at the end of every task,
+    {e before} the task is reported complete, so a [Pool.map] caller
+    reading a {!snapshot} right after the map returns sees every task's
     contribution (multicore runs report correctly).
 
     Metrics are registered by name, idempotently: registering the same
     name twice returns the same handle.  Counters are monotonic while
-    recording; {!reset} zeroes the sink (typically between benchmark
-    points).  Span durations are wall-clock seconds; nested
-    [with_span]s each accumulate their own full duration, so a parent
-    span includes its children. *)
+    recording; {!reset} zeroes every channel (typically between benchmark
+    points).  Nested [with_span]s each record their own full duration,
+    so a parent span includes its children. *)
 
 type counter
-type span
 type histogram
 
 (** [counter name] registers (or looks up) the counter [name].
     Thread-safe; intended for module-initialisation time. *)
 val counter : string -> counter
 
-(** [span name] registers (or looks up) the span [name]. *)
-val span : string -> span
-
-(** [histogram name] registers (or looks up) the latency histogram
-    [name].  Same registry discipline as counters and spans. *)
+(** [histogram name] registers (or looks up) the duration histogram
+    [name] — a timing span or a latency.  Same registry discipline as
+    counters. *)
 val histogram : string -> histogram
 
-(** Whether the recording sink is installed.  The hot-path guard. *)
+(** Whether the counter channel is recording.  The hot-path guard. *)
 val enabled : unit -> bool
 
-(** [set_enabled true] installs the recording sink (and implies a
-    {!reset}); [set_enabled false] restores the no-op sink. *)
+(** [set_enabled true] zeroes every counter and starts recording them;
+    [false] stops it (recorded counts stay readable).  The other channels
+    are left alone. *)
 val set_enabled : bool -> unit
 
-(** Zero every counter, span, and trace event in the sink and in the
-    calling domain's buffers.  Other domains' buffers are assumed flushed
-    (the pool flushes after every task).  A reset between benchmark points
-    makes every per-point snapshot and trace file self-contained. *)
+(** Zero every channel — counters, durations and trace events — in the
+    sink and in every domain's shard.  Domains still recording may
+    straddle the reset, so reset at quiescent points.  A reset between
+    benchmark points makes every per-point snapshot and trace file
+    self-contained. *)
 val reset : unit -> unit
 
-(** [add c n] bumps [c] by [n ≥ 0] in the calling domain's buffer.
-    No-op when disabled. *)
+(** [add c n] bumps [c] by [n ≥ 0] in the calling domain's shard.
+    No-op when the counter channel is off. *)
 val add : counter -> int -> unit
 
 val incr : counter -> unit
 
-(** [record_span s dt] accounts one hit of [dt] seconds to [s].  No-op
-    when disabled. *)
-val record_span : span -> float -> unit
-
-(** [with_span s f] runs [f ()], accounting its wall-clock duration to
-    [s] (exceptions included).  When disabled, exactly [f ()]. *)
-val with_span : span -> (unit -> 'a) -> 'a
+(** [with_span h f] runs [f ()].  While the duration channel is on, it
+    records [f]'s wall-clock duration in µs into [h] (exceptions
+    included).  While the timeline is on, it also emits a duration event
+    named after [h] whose end carries the phase's [Gc.quick_stat] deltas
+    (minor/major words and collections) as args; the outermost span on
+    each domain also publishes those deltas as [gc.*] counters.  With
+    both channels off, exactly [f ()]. *)
+val with_span : histogram -> (unit -> 'a) -> 'a
 
 (** Seconds from [CLOCK_MONOTONIC] (arbitrary origin, never steps back);
     exposed so instrumented libraries need no clock dependency.  Durations
@@ -74,28 +81,25 @@ val now : unit -> float
     suite and the XL bench both assert on it. *)
 val minor_allocated : (unit -> unit) -> float
 
-(** Merge the calling domain's buffer into the global sink and clear
-    it.  Cheap when the buffer is clean. *)
+(** Merge the calling domain's shard and trace ring into the global sink
+    and clear them.  Cheap when both are clean. *)
 val flush_domain : unit -> unit
 
-(** {1 Latency histograms}
+(** {1 Duration histograms}
 
-    A third recording channel: log-linear histograms over integer
-    microseconds, HdrHistogram-style.  The first 16 buckets are exact
-    (width 1 µs); every subsequent octave splits into 16 sub-buckets, so
-    the relative bucket error is ≤ 6.25% at every scale up to ~67 s
-    (values beyond share one overflow bucket; the maximum stays exact).
-    Observations land in the same per-domain buffer as counters and merge
-    at the same flush points; the channel has its own enable flag so a
-    bench can collect percentiles without the counter channel (and the
-    disabled cost is the same single atomic load). *)
+    Log-linear histograms over integer microseconds, HdrHistogram-style.
+    The first 16 buckets are exact (width 1 µs); every subsequent octave
+    splits into 16 sub-buckets, so the relative bucket error is ≤ 6.25%
+    at every scale up to ~67 s (values beyond share one overflow bucket;
+    the maximum stays exact). *)
 
-(** Whether the histogram channel is recording — independent of
+(** Whether the duration channel is recording — independent of
     {!enabled} and {!trace_enabled}. *)
 val hist_enabled : unit -> bool
 
-(** [set_hist_enabled true] zeroes every histogram shard and starts
-    recording; [false] stops it (recorded buckets stay readable). *)
+(** [set_hist_enabled true] zeroes every histogram and starts recording
+    durations; [false] stops it (recorded buckets stay readable).  The
+    other channels are left alone. *)
 val set_hist_enabled : bool -> unit
 
 (** [observe_us h v] records one observation of [v] microseconds
@@ -138,9 +142,10 @@ val hist_quantile : hist -> float -> float
 (** Pointwise bucket sum; counts and sums add, maxima take the max. *)
 val hist_merge : hist -> hist -> hist
 
-(** An immutable view of the sink: counters as [(name, value)], spans
-    as [(name, (hits, total_seconds))], histograms as [(name, hist)],
-    all sorted by name, zero entries omitted. *)
+(** An immutable view of the sink: counters as [(name, value)] and
+    histograms as [(name, hist)], sorted by name, zero entries omitted.
+    [spans] is derived from [hists]: each histogram as [(name, (count,
+    total_seconds))]. *)
 type snapshot = {
   counters : (string * int) list;
   spans : (string * (int * float)) list;
@@ -157,14 +162,14 @@ val empty_snapshot : snapshot
     next; totals are never double-counted and never decrease. *)
 val snapshot : unit -> snapshot
 
-(** Pointwise sum (counters and span hits add; durations add). *)
+(** Pointwise sum: counters add, histograms merge by {!hist_merge}. *)
 val merge : snapshot -> snapshot -> snapshot
 
-(** A two-section fixed-width text table (counters, then spans). *)
+(** A two-section fixed-width text table: counters, then histograms
+    (count, sum, p50/p90/p99 and max in µs). *)
 val pp : Format.formatter -> snapshot -> unit
 
-(** [{"counters": {name: int, …}, "spans": {name: {"count": int,
-    "total_s": float}, …}, "hists": {name: {"count": int, "sum_us":
+(** [{"counters": {name: int, …}, "hists": {name: {"count": int, "sum_us":
     float, "max_us": float, "p50_us": float, "p90_us": float, "p99_us":
     float, "buckets": [[index, count], …]}, …}}] — names are
     JSON-escaped. *)
@@ -172,7 +177,7 @@ val to_json : snapshot -> string
 
 (** {1 Trace-event timeline}
 
-    A second, independent recording channel: timestamped begin/end and
+    The third recording channel: timestamped begin/end and
     instant events on one track per domain, exported as Chrome
     trace-event JSON (loadable in Perfetto or [chrome://tracing]).
 
@@ -213,8 +218,7 @@ val set_trace_enabled : bool -> unit
 val set_trace_capacity : int -> unit
 
 (** [trace_begin name] opens a duration event on the calling domain's
-    track.  Must be balanced by {!trace_end}; prefer
-    {!with_span_traced}. *)
+    track.  Must be balanced by {!trace_end}; prefer {!with_span}. *)
 val trace_begin : ?args:(string * string) list -> string -> unit
 
 (** [trace_end name] closes the innermost open duration event.  [args]
@@ -222,13 +226,6 @@ val trace_begin : ?args:(string * string) list -> string -> unit
 val trace_end : ?args:(string * string) list -> string -> unit
 
 val trace_instant : ?args:(string * string) list -> string -> unit
-
-(** [with_span_traced s f] is {!with_span} plus a trace duration event
-    named after the span, with the phase's [Gc.quick_stat] deltas
-    (minor/major words and collections) attached as event args.  The
-    outermost traced span on each domain also publishes the deltas as
-    [gc.*] counters. *)
-val with_span_traced : span -> (unit -> 'a) -> 'a
 
 (** Name the calling domain's track in the exported trace (thread_name
     metadata).  The main domain is pre-named ["main"]. *)
@@ -239,8 +236,7 @@ val set_track_name : string -> unit
 val trace_dropped : unit -> int
 
 (** [trace_events ()] flushes the calling domain and returns every
-    recorded event, grouped by track, chronological (timestamps clamped
-    monotone) within each track. *)
+    recorded event, grouped by track, chronological within each track. *)
 val trace_events : unit -> event list
 
 (** Chrome trace-event JSON: [{"traceEvents": [...], ...}] with one

@@ -11,13 +11,13 @@ let c_tasks = Obs.counter "pool.tasks"
 let c_maps = Obs.counter "pool.maps"
 let c_nested = Obs.counter "pool.nested_sequential_maps"
 
-(* Set on pool-worker domains: the worker's busy-time span.  Doubles as the
-   nested-submission detector — a [map] called from a worker runs
+(* Set on pool-worker domains: the worker's busy-time histogram.  Doubles
+   as the nested-submission detector — a [map] called from a worker runs
    sequentially in that worker instead of deadlocking the queue. *)
-let worker_span : Obs.span option Domain.DLS.key =
+let worker_busy : Obs.histogram option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
 
-let in_worker () = Domain.DLS.get worker_span <> None
+let in_worker () = Domain.DLS.get worker_busy <> None
 
 let worker pool =
   let rec loop () =
@@ -52,9 +52,9 @@ let create ?size () =
   if size > 1 then
     pool.workers <-
       List.init size (fun i ->
-          let span = Obs.span (Printf.sprintf "pool.worker%d.busy" i) in
+          let busy = Obs.histogram (Printf.sprintf "pool.worker%d.busy" i) in
           Domain.spawn (fun () ->
-              Domain.DLS.set worker_span (Some span);
+              Domain.DLS.set worker_busy (Some busy);
               Obs.set_track_name (Printf.sprintf "worker%d" i);
               worker pool));
   pool
@@ -106,17 +106,16 @@ let map ?pool f xs =
                   Printf.sprintf "%.1f" ((Obs.now () -. submit_ts) *. 1e6) );
               ]
             "pool.task";
-        let t0 = if Obs.enabled () then Obs.now () else 0. in
+        let t0 = if Obs.hist_enabled () then Obs.now () else 0. in
         let r = try Ok (f arr.(i)) with e -> Error e in
         (* Account and merge this domain's observations before the task is
            reported done: a caller snapshotting right after [map] returns
            must see every task's contribution. *)
-        if Obs.enabled () then begin
-          (match Domain.DLS.get worker_span with
-           | Some span -> Obs.record_span span (Obs.now () -. t0)
-           | None -> ());
-          Obs.incr c_tasks
-        end;
+        if Obs.hist_enabled () then
+          Option.iter
+            (fun h -> Obs.observe_us h ((Obs.now () -. t0) *. 1e6))
+            (Domain.DLS.get worker_busy);
+        Obs.incr c_tasks;
         if tracing then Obs.trace_end "pool.task";
         if Obs.enabled () || Obs.hist_enabled () || tracing then
           Obs.flush_domain ();

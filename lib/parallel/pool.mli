@@ -11,11 +11,12 @@
     (any pool's) runs sequentially in that worker instead of parking it —
     workers blocked on a nested [map] would otherwise deadlock the queue.
 
-    When the {!Obs} recording sink is enabled, the pool counts maps and
-    tasks, accounts per-worker busy time ([pool.worker<i>.busy] spans),
-    and flushes each worker's domain-local observation buffer at the end
-    of every task, before the task is reported complete — so a snapshot
-    taken right after [map] returns includes every task's metrics. *)
+    While {!Obs} records, the pool counts maps and tasks (counter
+    channel), observes each task's duration in its worker's
+    [pool.worker<i>.busy] histogram (duration channel), and flushes each
+    worker's domain-local shard at the end of every task, before the task
+    is reported complete — so a snapshot taken right after [map] returns
+    includes every task's metrics. *)
 
 type t
 

@@ -2,8 +2,8 @@ open Relational
 module C = Cfds.Cfd
 module Canon = Chase.Canon
 
-let s_run = Obs.span "fleet.run"
-let s_canon = Obs.span "fleet.canonicalise"
+let s_run = Obs.histogram "fleet.run"
+let s_canon = Obs.histogram "fleet.canonicalise"
 let c_views = Obs.counter "fleet.views"
 let c_classes = Obs.counter "fleet.classes"
 let c_cover_hits = Obs.counter "fleet.cover_hits"
@@ -56,7 +56,7 @@ let uncanonicalize (v : Spc.t) (ren : Canon.renaming) cover =
   |> List.sort C.compare
 
 let run ?(options = default_options) views sigma =
-  Obs.with_span_traced s_run @@ fun () ->
+  Obs.with_span s_run @@ fun () ->
   let memo =
     match options.memo with Some m -> m | None -> Memo.create ()
   in

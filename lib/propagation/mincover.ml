@@ -4,7 +4,7 @@ module C = Cfds.Cfd
 let c_tested = Obs.counter "mincover.candidates_tested"
 let c_removed = Obs.counter "mincover.cfds_removed"
 let c_lhs_removed = Obs.counter "mincover.lhs_attrs_removed"
-let s_cover = Obs.span "mincover.minimal_cover"
+let s_cover = Obs.histogram "mincover.minimal_cover"
 
 let reduce_lhs compiled phi =
   if C.is_attr_eq phi then phi

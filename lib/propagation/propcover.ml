@@ -4,13 +4,13 @@ module P = Cfds.Pattern
 
 (* Per-phase spans of Algorithm PropCFD_SPC (Fig. 4); [propcover.cover]
    wraps the whole run, the rest mirror the line numbers in [cover]. *)
-let s_cover = Obs.span "propcover.cover"
-let s_initial_mincover = Obs.span "propcover.initial_mincover"
-let s_rename = Obs.span "propcover.rename"
-let s_compute_eq = Obs.span "propcover.compute_eq"
-let s_rbr = Obs.span "propcover.rbr"
-let s_eq2cfd = Obs.span "propcover.eq2cfd"
-let s_final_mincover = Obs.span "propcover.final_mincover"
+let s_cover = Obs.histogram "propcover.cover"
+let s_initial_mincover = Obs.histogram "propcover.initial_mincover"
+let s_rename = Obs.histogram "propcover.rename"
+let s_compute_eq = Obs.histogram "propcover.compute_eq"
+let s_rbr = Obs.histogram "propcover.rbr"
+let s_eq2cfd = Obs.histogram "propcover.eq2cfd"
+let s_final_mincover = Obs.histogram "propcover.final_mincover"
 let c_covers = Obs.counter "propcover.covers_computed"
 let c_cover_size = Obs.counter "propcover.cover_cfds"
 
@@ -246,19 +246,19 @@ let compute_cover ?provenance options (v : Spc.t) sigma =
     if options.skip_initial_mincover then isigma
     else
       (* Line 1: Σ := MinCover(Σ), one independent slice per relation. *)
-      Obs.with_span_traced s_initial_mincover (fun () ->
+      Obs.with_span s_initial_mincover (fun () ->
           Mincover.minimal_cover_db_ir ?memo:options.memo ctx v.Spc.source
             isigma)
   in
   (* Lines 5-6 first (the renamed CFDs feed ComputeEQ's closure). *)
   let sigma_v =
-    Obs.with_span_traced s_rename (fun () -> rename_sources_ir ctx v isigma)
+    Obs.with_span s_rename (fun () -> rename_sources_ir ctx v isigma)
   in
   (* Line 2: EQ := ComputeEQ. *)
   let body = Spc.body_attrs v in
   let body_ids = List.map (fun a -> Ir.intern ctx (Attribute.name a)) body in
   match
-    Obs.with_span_traced s_compute_eq (fun () ->
+    Obs.with_span s_compute_eq (fun () ->
         Compute_eq.compute_ir ctx ~body:body_ids ~selection:v.Spc.selection
           ~sigma:sigma_v)
   with
@@ -327,14 +327,14 @@ let compute_cover ?provenance options (v : Spc.t) sigma =
         options.prune_chunk
     in
     let sigma_c, completeness =
-      Obs.with_span_traced s_rbr (fun () ->
+      Obs.with_span s_rbr (fun () ->
           Rbr.reduce_ir ~ctx ?prune ?pool:options.pool
             ?max_size:options.max_intermediate ~order:options.rbr_order
             sigma_v ~drop_ids)
     in
     (* Line 12: Σd := EQ2CFD(EQ) plus the Rc constants. *)
     let sigma_d =
-      Obs.with_span_traced s_eq2cfd (fun () ->
+      Obs.with_span s_eq2cfd (fun () ->
           Compute_eq.to_cfds_ir ctx ~view:v.Spc.name ~y:in_y classes)
     in
     let rc_cfds =
@@ -360,7 +360,7 @@ let compute_cover ?provenance options (v : Spc.t) sigma =
     in
     let vspace = Ir.space_of_schema ctx view_schema in
     let cover_ir =
-      Obs.with_span_traced s_final_mincover (fun () ->
+      Obs.with_span s_final_mincover (fun () ->
           Mincover.minimal_cover_ir ctx vspace all)
     in
     (* The exit edge. *)
@@ -373,7 +373,7 @@ let compute_cover ?provenance options (v : Spc.t) sigma =
     }
 
 let cover ?(options = default_options) ?provenance (v : Spc.t) sigma =
-  Obs.with_span_traced s_cover @@ fun () ->
+  Obs.with_span s_cover @@ fun () ->
   Obs.incr c_covers;
   List.iter
     (fun c ->

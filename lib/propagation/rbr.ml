@@ -1,15 +1,15 @@
 module C = Cfds.Cfd
 module P = Cfds.Pattern
 
-(* Observability (no-op unless the recording sink is enabled). *)
+(* Observability (no-op unless its channel records). *)
 let c_attrs_dropped = Obs.counter "rbr.attrs_dropped"
 let c_resolvents = Obs.counter "rbr.resolvents_generated"
 let c_deduped = Obs.counter "rbr.resolvents_deduped"
 let c_buckets = Obs.counter "rbr.bucket_nodes_touched"
 let c_prunes = Obs.counter "rbr.prune_rounds"
 let c_builds = Obs.counter "rbr.engine_builds"
-let s_reduce = Obs.span "rbr.reduce"
-let s_prune = Obs.span "rbr.prune"
+let s_reduce = Obs.histogram "rbr.reduce"
+let s_prune = Obs.histogram "rbr.prune"
 
 let mentions a cfd = List.mem a (C.attrs cfd)
 

@@ -29,7 +29,8 @@ let family name = "cfdprop_" ^ sanitize name
 
 (* Histogram families: the per-op and per-tier Obs histograms are named
    serve.req_us.<op> / serve.delta_us.<tier>; fold the suffix into a
-   label so Prometheus sees one family per dimension. *)
+   label so Prometheus sees one family per dimension.  Every other
+   histogram, timing spans included, is its own family. *)
 let hist_family name =
   let prefixed p = String.length name > String.length p
     && String.sub name 0 (String.length p) = p
@@ -89,13 +90,6 @@ let prometheus ?(gauges = []) (s : Obs.snapshot) =
       declare fam "counter";
       Buffer.add_string b (Printf.sprintf "%s %d\n" fam v))
     s.Obs.counters;
-  List.iter
-    (fun (name, (hits, secs)) ->
-      let fam = family name ^ "_seconds" in
-      declare fam "summary";
-      Buffer.add_string b (Printf.sprintf "%s_count %d\n" fam hits);
-      Buffer.add_string b (Printf.sprintf "%s_sum %.6f\n" fam secs))
-    s.Obs.spans;
   (* Histograms: cumulative counts at the upper bounds of the non-empty
      buckets plus +Inf — any increasing subset of bounds is a valid
      Prometheus histogram, so empty buckets are simply not emitted. *)
@@ -141,17 +135,6 @@ let json_fields ?(gauges = []) (s : Obs.snapshot) =
     Json.Obj
       (List.map (fun (n, v) -> (n, jnum (float_of_int v))) s.Obs.counters)
   in
-  let spans =
-    Json.Obj
-      (List.map
-         (fun (n, (hits, secs)) ->
-           ( n,
-             Json.Obj
-               [
-                 ("count", jnum (float_of_int hits)); ("total_s", jnum secs);
-               ] ))
-         s.Obs.spans)
-  in
   let hists =
     Json.Obj
       (List.map
@@ -178,7 +161,6 @@ let json_fields ?(gauges = []) (s : Obs.snapshot) =
   in
   [
     ("counters", counters);
-    ("spans", spans);
     ("hists", hists);
     ("gauges", gauges_j);
   ]

@@ -7,8 +7,8 @@
     the [GET /metrics] endpoint and the ["metrics"] protocol op:
 
     - counters → [cfdprop_<name>_total] (dots mapped to underscores);
-    - spans → [cfdprop_<name>_seconds] summaries ([_count]/[_sum]);
-    - histograms → classic [_bucket]/[_sum]/[_count] families with
+    - histograms (timing spans included) → classic
+      [_bucket]/[_sum]/[_count] families [cfdprop_<name>] with
       cumulative [le] bounds in µs.  The per-op histograms
       [serve.req_us.<op>] fold into one [cfdprop_serve_op_req_us] family
       with an [op] label; the per-tier [serve.delta_us.<tier>] ones into
@@ -29,8 +29,9 @@ type gauge = {
 val prometheus : ?gauges:gauge list -> Obs.snapshot -> string
 
 (** The same payload as response fields for the ["metrics"] protocol op:
-    [counters]/[spans]/[hists] (with [p50_us]/[p90_us]/[p99_us] per
-    histogram) and [gauges] (labelled gauges keyed [name.label_value]). *)
+    [counters], [hists] (count, sum, max and [p50_us]/[p90_us]/[p99_us]
+    per histogram) and [gauges] (labelled gauges keyed
+    [name.label_value]). *)
 val json_fields : ?gauges:gauge list -> Obs.snapshot -> (string * Json.t) list
 
 (** [listen ~port handle ()] binds loopback (or [host]), listens, and

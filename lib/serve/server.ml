@@ -382,7 +382,7 @@ let access_log_line ~id ~op ~session ~outcome ~lat_us ~slow =
 
 (* The single entry point: never raises, always one response line (or ""
    for blank/comment lines).  Request timing only runs when something
-   consumes it — the histogram channel, the access log, or the slow-ms
+   consumes it — the duration channel, the access log, or the slow-ms
    threshold — so the fully-disabled path keeps its one-atomic-load
    cost. *)
 let handle_line_counted t line =

@@ -10,8 +10,8 @@ let c_fallbacks = Obs.counter "serve.fallbacks"
 let c_queries = Obs.counter "serve.queries"
 let c_replica_reads = Obs.counter "serve.replica_reads"
 let c_epoch_swaps = Obs.counter "serve.epoch_swaps"
-let s_recompute = Obs.span "serve.recompute"
-let s_delta = Obs.span "serve.delta"
+let s_recompute = Obs.histogram "serve.recompute"
+let s_delta = Obs.histogram "serve.delta"
 let h_delta_noop = Obs.histogram "serve.delta_us.noop"
 let h_delta_patched = Obs.histogram "serve.delta_us.patched"
 let h_delta_recomputed = Obs.histogram "serve.delta_us.recomputed"
@@ -87,7 +87,6 @@ type t = {
   st_queries : int Atomic.t;
   st_patches : int Atomic.t;
   st_fallbacks : int Atomic.t;
-  st_recomputes : int Atomic.t;
   st_noops : int Atomic.t;
 }
 
@@ -155,11 +154,12 @@ let replicas t = t.replicas
 let replica_reads t = Array.map Atomic.get t.slot_reads
 
 let stats t =
+  let fallbacks = Atomic.get t.st_fallbacks in
   {
     queries = Atomic.get t.st_queries;
     patches = Atomic.get t.st_patches;
-    fallbacks = Atomic.get t.st_fallbacks;
-    recomputes = Atomic.get t.st_recomputes;
+    fallbacks;
+    recomputes = fallbacks + 1;
     noops = Atomic.get t.st_noops;
     epoch = epoch t;
     replicas = t.replicas;
@@ -225,7 +225,6 @@ let create ?pool ?(replicas = 1) ~memo ~name ~view ~sigma () =
         st_queries = Atomic.make 0;
         st_patches = Atomic.make 0;
         st_fallbacks = Atomic.make 0;
-        st_recomputes = Atomic.make 1;
         st_noops = Atomic.make 0;
       }
 
@@ -501,7 +500,6 @@ let apply_delta_locked t dop c =
           in
           swap snap';
           Atomic.incr t.st_fallbacks;
-          Atomic.incr t.st_recomputes;
           Obs.incr c_fallbacks;
           let new_cover = result.Propcover.cover in
           let added, removed = diff_covers old_cover new_cover in

@@ -93,7 +93,10 @@ type stats = {
   queries : int;
   patches : int;
   fallbacks : int;
-  recomputes : int;  (** full pipeline runs, including the initial one *)
+  recomputes : int;
+      (** [fallbacks + 1]: the initial cover plus every Tier-C delta,
+          including those the session's result cache answered without
+          running the pipeline *)
   noops : int;
   epoch : int;
   replicas : int;  (** size of the replica slot array (fixed at create) *)

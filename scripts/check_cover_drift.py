@@ -49,10 +49,16 @@ resolves from total.hists by its observation count, so the serve smoke
 can require the serve.req_us request histogram alongside its counters.
 
 Serve points additionally carry a "serve"."ops" object (per-op request
-latency percentiles from the histogram channel); when present it is
+latency percentiles from the duration channel); when present it is
 validated structurally: the scripted stream's ops (propagates, cover,
 add_cfd, remove_cfd) must each appear with a positive count and ordered
-percentiles p50 <= p95 <= p99.
+percentiles p50 <= p95 <= p99.  The op counts are a pure function of
+the request script and --seeds (240/2400/21120/240 for
+add_cfd/cover/propagates/remove_cfd at --seeds 3), so each must equal
+the baseline point's count.  Where a serve point carries "stats", every
+op's request histogram must agree with its dispatch counter:
+hists["serve.req_us.<op>"].count == counters["serve.op.<op>"] — a
+mismatch means the duration channel covered only part of the point.
 
 --bench-file PATH names the baseline explicitly (equivalent to the
 positional BASELINE_JSON, which stays supported; the serve smoke guards
@@ -133,8 +139,28 @@ def check_stats(path, extra_counters=()):
 SERVE_STREAM_OPS = ("propagates", "cover", "add_cfd", "remove_cfd")
 
 
-def check_serve_ops(points):
-    """Structural check of the per-op latency percentiles on serve points."""
+def check_serve_stats(key, stats):
+    """Each op's request histogram count equals its dispatch counter."""
+    counters = stats.get("counters", {})
+    hists = stats.get("hists", {})
+    ops = {n[len("serve.op."):] for n in counters if n.startswith("serve.op.")}
+    ops |= {n[len("serve.req_us."):] for n in hists if n.startswith("serve.req_us.")}
+    bad = []
+    for op in sorted(ops):
+        timed = hists.get(f"serve.req_us.{op}", {}).get("count")
+        counted = counters.get(f"serve.op.{op}")
+        if timed != counted:
+            bad.append(
+                f"  {key[0]} x={key[1]} op={op}: serve.req_us.{op} count "
+                f"{timed!r} != serve.op.{op} {counted!r}"
+            )
+    return bad
+
+
+def check_serve_ops(points, base):
+    """Structural check of the per-op latency percentiles on serve points,
+    their counts against the baseline's, and the point stats' request
+    histograms against the dispatch counters."""
     serve_pts = [
         (key, pt["serve"]) for key, pt in sorted(points.items())
         if isinstance(pt.get("serve"), dict)
@@ -170,9 +196,19 @@ def check_serve_ops(points):
                     f"  {key[0]} x={key[1]} op={op}: percentiles unordered "
                     f"({p50} / {p95} / {p99})"
                 )
+            base_ops = (base.get(key, {}).get("serve") or {}).get("ops")
+            if isinstance(base_ops, dict) and op in base_ops:
+                want = base_ops[op].get("count")
+                if count != want:
+                    bad.append(
+                        f"  {key[0]} x={key[1]} op={op}: count {count!r}, "
+                        f"baseline {want!r}"
+                    )
+        if isinstance(points[key].get("stats"), dict):
+            bad.extend(check_serve_stats(key, points[key]["stats"]))
     if bad:
         print(
-            "SERVE OPS GUARD FAILED: per-op percentiles malformed",
+            "SERVE OPS GUARD FAILED: per-op rows malformed or inconsistent",
             file=sys.stderr,
         )
         print("\n".join(bad), file=sys.stderr)
@@ -255,9 +291,6 @@ def main():
     if stats_path is not None and not check_stats(stats_path, extra_counters):
         return 1
 
-    if not check_serve_ops(smoke):
-        return 1
-
     if smoke_seeds != base_seeds:
         print(
             f"DRIFT GUARD SKIPPED: seed counts differ "
@@ -265,6 +298,9 @@ def main():
             f"cover means are only comparable for identical --seeds",
             file=sys.stderr,
         )
+        return 1
+
+    if not check_serve_ops(smoke, base):
         return 1
 
     shared = sorted(set(smoke) & set(base))

@@ -19,7 +19,10 @@ against the text exposition format, line by line:
 
 On top of syntax, the serve telemetry families the scrape exists for
 must be present (REQUIRED_FAMILIES below) — a valid-but-empty body
-means the serve instrumentation silently stopped rendering.
+means the serve instrumentation silently stopped rendering.  That
+includes the histogram of the propcover.cover span: opening a session
+computes a cover, so its absence means spans stopped reaching the
+exposition.
 
 Usage: check_metrics.py METRICS_TXT
 Exit status: 0 = valid, 1 = malformed or missing families.
@@ -32,6 +35,7 @@ REQUIRED_FAMILIES = (
     ("cfdprop_serve_requests_total", "counter"),
     ("cfdprop_serve_req_us", "histogram"),
     ("cfdprop_serve_op_req_us", "histogram"),
+    ("cfdprop_propcover_cover", "histogram"),
     ("cfdprop_serve_sessions", "gauge"),
     ("cfdprop_serve_session_epoch", "gauge"),
     ("cfdprop_serve_memo_entries", "gauge"),

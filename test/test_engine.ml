@@ -143,18 +143,22 @@ let cover_workload seed =
   (sigma, view)
 
 (* Span durations are wall-clock and never reproducible; everything else
-   (counter values, span hit counts) must be. *)
+   (counter values, span counts) must be. *)
 let deterministic_part (s : Obs.snapshot) =
-  (s.Obs.counters, List.map (fun (n, (h, _)) -> (n, h)) s.Obs.spans)
+  (s.Obs.counters, List.map (fun (n, h) -> (n, h.Obs.h_count)) s.Obs.hists)
 
 let instrumentation_transparent seed =
   let sigma, view = cover_workload seed in
   Obs.set_enabled false;
+  Obs.set_hist_enabled false;
   let baseline = (P.Propcover.cover view sigma).P.Propcover.cover in
   Fun.protect
-    ~finally:(fun () -> Obs.set_enabled false)
+    ~finally:(fun () ->
+      Obs.set_enabled false;
+      Obs.set_hist_enabled false)
     (fun () ->
       Obs.set_enabled true;
+      Obs.set_hist_enabled true;
       let c1 = (P.Propcover.cover view sigma).P.Propcover.cover in
       let s1 = deterministic_part (Obs.snapshot ()) in
       Obs.reset ();
@@ -165,7 +169,8 @@ let instrumentation_transparent seed =
       sets_equal (normalize baseline) (normalize c1)
       && sets_equal (normalize baseline) (normalize c2)
       && s1 = s2
-      && s1 <> ([], []))
+      && fst s1 <> []
+      && snd s1 <> [])
 
 let prop_instrumentation_transparent =
   QCheck2.Test.make ~name:"recording sink: same covers, deterministic counters"

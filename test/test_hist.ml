@@ -1,10 +1,10 @@
-(* The histogram channel: bucket-layout laws (exact low range, bounded
+(* The duration channel: bucket-layout laws (exact low range, bounded
    relative error, monotone mapping, inverse round-trip), merge algebra,
    the quantile-vs-sorted-oracle property (bucket-level exactness on
-   random streams), multi-domain flushing through the pool when *only*
-   the histogram channel is on, and instrumentation transparency — a
-   serve session's responses are byte-identical with the channel on and
-   off. *)
+   random streams), spans as histograms, one flag per channel,
+   multi-domain flushing through the pool when *only* the duration
+   channel is on, and instrumentation transparency — a serve session's
+   responses are byte-identical with the channel on and off. *)
 
 module Gen = QCheck2.Gen
 
@@ -165,7 +165,82 @@ let test_enable_resets () =
   Obs.reset ()
 
 (* ------------------------------------------------------------------ *)
-(* Multi-domain flush: with *only* the histogram channel on, pool
+(* Spans are histograms, and each channel has its own flag. *)
+
+(* Spin until the monotonic clock has advanced by [us] µs. *)
+let spin_us us =
+  let t0 = Obs.now () in
+  while (Obs.now () -. t0) *. 1e6 < us do
+    ()
+  done
+
+let test_span_is_histogram () =
+  Obs.reset ();
+  with_hists @@ fun () ->
+  check_bool "counter channel stays off" false (Obs.enabled ());
+  let h = Obs.histogram "test.hist.span" in
+  (* Each recorded duration lies between the body's own spin and the
+     caller's measurement around [with_span]. *)
+  let outer =
+    List.map
+      (fun us ->
+        let t0 = Obs.now () in
+        Obs.with_span h (fun () -> spin_us us);
+        (Obs.now () -. t0) *. 1e6)
+      [ 100.; 300.; 200. ]
+  in
+  let s = Obs.snapshot () in
+  let hs = List.assoc "test.hist.span" s.Obs.hists in
+  check_int "one observation per span" 3 hs.Obs.h_count;
+  check_bool "sum bracketed" true
+    (hs.Obs.h_sum_us >= 600. && hs.Obs.h_sum_us <= List.fold_left ( +. ) 0. outer);
+  check_bool "max bracketed" true
+    (hs.Obs.h_max_us >= 300. && hs.Obs.h_max_us <= List.fold_left Float.max 0. outer);
+  check_bool "spans are the (count, seconds) projection" true
+    Obs.(s.spans = List.map (fun (n, h) -> (n, (h.h_count, h.h_sum_us *. 1e-6))) s.hists);
+  check_bool "no counters recorded" true (s.Obs.counters = [])
+
+let test_counters_without_durations () =
+  Obs.reset ();
+  Obs.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.set_enabled false;
+      Obs.reset ())
+  @@ fun () ->
+  check_bool "duration channel stays off" false (Obs.hist_enabled ());
+  let h = Obs.histogram "test.hist.untimed" in
+  let c = Obs.counter "test.hist.counted" in
+  Obs.with_span h (fun () -> Obs.incr c);
+  let s = Obs.snapshot () in
+  check_bool "counter recorded" true (s.Obs.counters = [ ("test.hist.counted", 1) ]);
+  check_bool "no duration recorded" true Obs.(s.hists = [] && s.spans = [])
+
+let test_flags_reset_own_channel () =
+  Obs.reset ();
+  let h = Obs.histogram "test.hist.own" in
+  let c = Obs.counter "test.hist.own" in
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.set_enabled false;
+      Obs.set_hist_enabled false;
+      Obs.reset ())
+  @@ fun () ->
+  Obs.set_hist_enabled true;
+  Obs.observe_us h 5.;
+  Obs.set_enabled true;
+  check_int "set_enabled true keeps the histograms" 1
+    (find_hist "test.hist.own").Obs.h_count;
+  Obs.incr c;
+  Obs.set_hist_enabled true;
+  let s = Obs.snapshot () in
+  check_bool "set_hist_enabled true keeps the counters" true
+    (List.assoc_opt "test.hist.own" s.Obs.counters = Some 1);
+  check_bool "set_hist_enabled true clears the histograms" true
+    (List.assoc_opt "test.hist.own" s.Obs.hists = None)
+
+(* ------------------------------------------------------------------ *)
+(* Multi-domain flush: with *only* the duration channel on, pool
    workers must still flush their domain-local shards at task end. *)
 
 let test_pool_flush () =
@@ -182,9 +257,25 @@ let test_pool_flush () =
   let s = find_hist "test.hist.pool" in
   check_int "every worker's observations flushed" 64 s.Obs.h_count
 
+(* Each task's duration lands in its worker's busy-time histogram. *)
+let test_pool_busy () =
+  Obs.reset ();
+  with_hists @@ fun () ->
+  Parallel.Pool.with_pool ~size:3 (fun pool ->
+      ignore (Parallel.Pool.map ~pool (fun i -> i + 1) (List.init 10 Fun.id)));
+  let busy =
+    List.filter
+      (fun (n, _) ->
+        String.starts_with ~prefix:"pool.worker" n
+        && String.ends_with ~suffix:".busy" n)
+      (Obs.snapshot ()).Obs.hists
+  in
+  check_int "one busy observation per task" 10
+    (List.fold_left (fun acc (_, h) -> acc + h.Obs.h_count) 0 busy)
+
 (* ------------------------------------------------------------------ *)
 (* Instrumentation transparency: the same request script produces
-   byte-identical responses with the histogram channel off and on. *)
+   byte-identical responses with the duration channel off and on. *)
 
 let test_transparency () =
   let script =
@@ -222,7 +313,13 @@ let suite =
     Alcotest.test_case "exact stats beside buckets" `Quick
       test_quantile_exact_stats;
     Alcotest.test_case "enable resets shards" `Quick test_enable_resets;
+    Alcotest.test_case "span is a histogram" `Quick test_span_is_histogram;
+    Alcotest.test_case "counters without durations" `Quick
+      test_counters_without_durations;
+    Alcotest.test_case "each flag resets its own channel" `Quick
+      test_flags_reset_own_channel;
     Alcotest.test_case "pool flushes hist-only" `Quick test_pool_flush;
+    Alcotest.test_case "pool busy time per task" `Quick test_pool_busy;
     Alcotest.test_case "transparency on/off" `Quick test_transparency;
   ]
   @ List.map QCheck_alcotest.to_alcotest

@@ -176,13 +176,22 @@ let test_delta_tiers () =
     ok_exn (Session.create ~memo ~name:"t" ~view:q1 ~sigma:[ f1; f2 ] ())
   in
   check_int "initial epoch" 0 (Session.epoch s);
+  (* recomputes counts the initial cover plus every Tier-C delta. *)
+  let check_recomputes fallbacks =
+    let st = Session.stats s in
+    check_int "fallbacks so far" fallbacks st.Session.fallbacks;
+    check_int "recomputes = fallbacks + 1" (fallbacks + 1) st.Session.recomputes
+  in
+  check_recomputes 0;
   (* Tier A: R2 feeds no atom of q1 — patched, cover untouched. *)
   let d = ok_exn (Session.add_cfd s (C.fd "R2" [ "zip" ] "street")) in
+  check_recomputes 0;
   check_bool "tier A patched" true (d.Session.plan = Session.Patched);
   check_bool "tier A cover unchanged" false d.Session.changed;
   check_int "tier A epoch" 1 d.Session.epoch;
   (* Noop: the axiom is already present. *)
   let d = ok_exn (Session.add_cfd s f1) in
+  check_recomputes 0;
   check_bool "noop" true (d.Session.plan = Session.Noop);
   check_int "noop epoch" 1 d.Session.epoch;
   (* Tier B: [AC='20', zip] -> [street] is implied by f1, so the R1
@@ -193,6 +202,7 @@ let test_delta_tiers () =
       ("street", Cfds.Pattern.Wild)
   in
   let d = ok_exn (Session.add_cfd s redundant) in
+  check_recomputes 0;
   check_bool "tier B patched" true (d.Session.plan = Session.Patched);
   check_int "tier B epoch" 2 d.Session.epoch;
   (* The check computed the new Σ_R's slice by line 1's own procedure and
@@ -211,6 +221,7 @@ let test_delta_tiers () =
    | Some _ | None -> Alcotest.fail "tier B filed no slice under line 1's key");
   (* Tier C: cfd1 survives into the cover — full recompute. *)
   let d = ok_exn (Session.add_cfd s cfd1) in
+  check_recomputes 1;
   check_bool "tier C recomputed" true (d.Session.plan = Session.Recomputed);
   check_bool "tier C cover changed" true d.Session.changed;
   check_bool "tier C added nonempty" true (d.Session.added <> []);
@@ -222,6 +233,7 @@ let test_delta_tiers () =
        (fun (_, srcs) -> List.exists (C.equal (C.canonical cfd1)) srcs)
        e.Session.sources);
   let d = ok_exn (Session.remove_cfd s cfd1) in
+  check_recomputes 2;
   check_bool "removal recomputed" true (d.Session.plan = Session.Recomputed);
   check_bool "removal reports stale members" true
     (match d.Session.stale with Some (_ :: _) -> true | _ -> false);

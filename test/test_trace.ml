@@ -168,13 +168,16 @@ let test_pool_tasks_nested () =
     (List.for_all (fun (e : Obs.event) -> e.Obs.tid <> 0) tasks);
   check_bool "well nested across workers" true (well_nested evs)
 
+(* With only the timeline on, a span still emits its B/E pair with the GC
+   deltas, and records no duration. *)
 let test_traced_spans_gc_args () =
   with_trace @@ fun () ->
-  let s = Obs.span "test.traced" in
-  let r =
-    Obs.with_span_traced s (fun () -> List.init 1000 Fun.id |> List.length)
-  in
+  check_bool "duration channel off" false (Obs.hist_enabled ());
+  let h = Obs.histogram "test.traced" in
+  let r = Obs.with_span h (fun () -> List.init 1000 Fun.id |> List.length) in
   check_int "body result" 1000 r;
+  check_bool "no duration recorded" true
+    (not (List.mem_assoc "test.traced" (Obs.snapshot ()).Obs.hists));
   let evs = Obs.trace_events () in
   match
     List.find_opt
