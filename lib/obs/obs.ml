@@ -281,6 +281,7 @@ type tbuf = {
   mutable tlen : int;
   mutable open_spans : int; (* recorded 'B's awaiting their 'E' *)
   mutable span_stack : bool list; (* per open span: was its 'B' recorded? *)
+  mutable span_depth : int; (* open [with_span] calls *)
   mutable tdropped : int;
   mutable tid : int; (* dense track id, assigned on first use *)
 }
@@ -297,6 +298,7 @@ let tbuf_key =
         tlen = 0;
         open_spans = 0;
         span_stack = [];
+        span_depth = 0;
         tdropped = 0;
         tid = -1;
       })
@@ -407,7 +409,9 @@ let trace_instant ?(args = []) name =
 
 (* Per-phase GC accounting: the outermost traced span on each domain also
    publishes the deltas as counters (children are included in the parent,
-   so only depth 0 counts — no double counting). *)
+   so only depth 0 counts — no double counting).  Depth counts open
+   [with_span] calls only: raw [trace_begin] events, such as a pool
+   worker's [pool.task], do not hide the spans inside them. *)
 let c_gc_minor_words = counter "gc.minor_words"
 let c_gc_major_words = counter "gc.major_words"
 let c_gc_minor_collections = counter "gc.minor_collections"
@@ -432,11 +436,14 @@ let with_span h f =
   if not (Atomic.get trace_flag) then timed h f
   else begin
     let name = hist_name h in
-    let outermost = (Domain.DLS.get tbuf_key).span_stack = [] in
+    let b = Domain.DLS.get tbuf_key in
+    let outermost = b.span_depth = 0 in
+    b.span_depth <- b.span_depth + 1;
     let g0 = Gc.quick_stat () in
     trace_begin name;
     Fun.protect
       ~finally:(fun () ->
+        b.span_depth <- b.span_depth - 1;
         let g1 = Gc.quick_stat () in
         let minor_w = g1.Gc.minor_words -. g0.Gc.minor_words in
         let major_w = g1.Gc.major_words -. g0.Gc.major_words in

@@ -11,6 +11,7 @@ let c_rounds = Obs.counter "fast_impl.chase_rounds"
 let c_rule_apps = Obs.counter "fast_impl.rule_applications"
 let c_firings = Obs.counter "fast_impl.rule_firings"
 let c_mask_skips = Obs.counter "fast_impl.mask_prune_skips"
+let c_dormant_skips = Obs.counter "fast_impl.dormant_skips"
 let c_goal_stops = Obs.counter "fast_impl.goal_stops"
 let c_arena_resets = Obs.counter "fast_impl.arena_resets"
 let c_wide_compiles = Obs.counter "fast_impl.wide_compiles"
@@ -75,6 +76,7 @@ type arena = {
   mutable t_apps : int;
   mutable t_firings : int;
   mutable t_skips : int;
+  mutable t_dormant : int;
   mutable t_goal_stops : int;
 }
 
@@ -97,6 +99,7 @@ let arena_create arity words =
     t_apps = 0;
     t_firings = 0;
     t_skips = 0;
+    t_dormant = 0;
     t_goal_stops = 0;
   }
 
@@ -107,7 +110,14 @@ let arena_create arity words =
    bitmasks occupy [masks] slots [2*words*i ..]: [words] pair-mask words,
    then [words] self-mask words.  The semi-naive watcher index is in CSR
    form: position [p]'s watching rules are
-   [watch.(watch_off.(p) .. watch_off.(p+1) - 1)]. *)
+   [watch.(watch_off.(p) .. watch_off.(p+1) - 1)].
+
+   Constant-keyed wake-up: a standard rule whose LHS has a constant entry
+   is keyed on the first one, and the key index (CSR again) lists the rules
+   keyed at position [p] with their key constants in
+   [key_rule]/[key_val] slots [key_off.(p) .. key_off.(p+1) - 1].  Its
+   premise cannot hold before a cell at the key position is bound to the
+   key constant, so during a chase the rule stays dormant until then. *)
 type compiled = {
   (* Position resolver for AST-level queries ([implies] on a [Cfds.Cfd.t]);
      IR-compiled rule sets resolve positions through their {!Ir.space}
@@ -126,6 +136,15 @@ type compiled = {
   masks : int array;
   watch_off : int array;
   watch : int array;
+  key_off : int array;
+  key_rule : int array;
+  key_val : Value.t array;
+  (* Per-rule wake stamp: a keyed rule is live in the chase whose
+     generation [gen] it carries; keyless rules (attr-eq, all-wildcard LHS,
+     and rules whose key entry {!set_rule_ir} dropped) carry [max_int] and
+     are always live. *)
+  awake : int array;
+  mutable gen : int;
   (* Rules that can fire on a pristine union-find: Attr_eq, empty-LHS and
      all-wildcard-LHS rules.  Mutable: {!set_rule_ir} can only add entries
      (LHS shrinking may make a rule autonomous, never the reverse). *)
@@ -365,6 +384,7 @@ let publish st tracing =
     Obs.add c_rule_apps st.t_apps;
     Obs.add c_firings st.t_firings;
     Obs.add c_mask_skips st.t_skips;
+    Obs.add c_dormant_skips st.t_dormant;
     Obs.add c_goal_stops st.t_goal_stops
   end;
   if tracing then
@@ -385,6 +405,20 @@ let rhs_safe st cell rhs_v =
   Bytes.unsafe_get st.has_const r <> '\000'
   && Value.equal (Array.unsafe_get st.cls_val r) rhs_v
 
+(* Wake the rules keyed at position [p] on the constant bound to [cell]'s
+   class, if any.  A keyless rule's [max_int] stamp is never lowered, so a
+   stale key-index entry left by {!set_rule_ir} cannot make it dormant. *)
+let wake pk st p cell gen =
+  let r = find st.parent cell in
+  if Bytes.unsafe_get st.has_const r <> '\000' then begin
+    let v = Array.unsafe_get st.cls_val r in
+    for j = Array.unsafe_get pk.key_off p to Array.unsafe_get pk.key_off (p + 1) - 1 do
+      let i = Array.unsafe_get pk.key_rule j in
+      if Array.unsafe_get pk.awake i < gen && Value.equal (Array.unsafe_get pk.key_val j) v
+      then Array.unsafe_set pk.awake i gen
+    done
+  end
+
 (* Semi-naive fixpoint over the caller-seeded arena: one pass over the
    autonomous rules, then a worklist of dirty positions re-applies only
    the rules watching them.  A position is dirty when some class with a
@@ -400,16 +434,29 @@ let rhs_safe st cell rhs_v =
    That is exact: the union-find state only grows, so a goal met now is
    met at the fixpoint, and a later [Conflict] would answer true as well.
    A witness collection ([fired]) runs to the fixpoint, so the witness is
-   the same as without the stop. *)
+   the same as without the stop.
+
+   Keyed rules start each chase dormant (a fresh generation [gen]) and the
+   watcher scan skips them until a pop of their key position finds a cell
+   there bound to their key constant.  That is exact: seeding queues every
+   bound position and [mark_class] queues every position of a class that
+   gains a constant, so a keyed rule is woken before its premise can hold,
+   and it stays live because constants only accumulate.  A witness
+   collection treats every rule as live ([live] = 0 is below every stamp),
+   so its application order, and its witness, do not depend on wake-up. *)
 let chase pk mask fired two_rows ga gb gv =
   let st = pk.arena in
   let n = pk.arity in
   let ncells = if two_rows then 2 * n else n in
   let goal = Option.is_none fired in
+  pk.gen <- pk.gen + 1;
+  let gen = pk.gen in
+  let live = if goal then gen else 0 in
   st.t_rounds <- 0;
   st.t_apps <- 0;
   st.t_firings <- 0;
   st.t_skips <- 0;
+  st.t_dormant <- 0;
   st.t_goal_stops <- 0;
   let tracing = Obs.trace_enabled () in
   if tracing then Obs.trace_begin "fast_impl.chase";
@@ -435,10 +482,17 @@ let chase pk mask fired two_rows ga gb gv =
         st.qhead <- (if h = Array.length st.queue then 0 else h);
         Bytes.unsafe_set st.dirty p '\000';
         st.t_rounds <- st.t_rounds + 1;
+        if Array.unsafe_get pk.key_off p < Array.unsafe_get pk.key_off (p + 1)
+        then begin
+          wake pk st p p gen;
+          if two_rows then wake pk st p (n + p) gen
+        end;
         let stop = Array.unsafe_get pk.watch_off (p + 1) in
         let k = ref (Array.unsafe_get pk.watch_off p) in
         while !k < stop do
-          apply pk two_rows mask fired (Array.unsafe_get pk.watch !k);
+          let i = Array.unsafe_get pk.watch !k in
+          if Array.unsafe_get pk.awake i >= live then apply pk two_rows mask fired i
+          else st.t_dormant <- st.t_dormant + 1;
           incr k
         done
       end
@@ -528,6 +582,29 @@ let assemble ~pos_of_name ~arity protos =
             cursor.(pp) <- cursor.(pp) + 1)
           lhs)
     protos;
+  (* Each standard rule is keyed on its first constant LHS entry. *)
+  let keys =
+    Array.map
+      (function
+        | PStandard { lhs; _ } -> Array.find_opt (fun (_, v) -> v != wild_v) lhs
+        | PAttr_eq _ -> None)
+      protos
+  in
+  let key_off = Array.make (arity + 1) 0 in
+  Array.iter (Option.iter (fun (p, _) -> key_off.(p + 1) <- key_off.(p + 1) + 1)) keys;
+  for p = 0 to arity - 1 do
+    key_off.(p + 1) <- key_off.(p + 1) + key_off.(p)
+  done;
+  let key_rule = Array.make (max 1 key_off.(arity)) 0 in
+  let key_val = Array.make (max 1 key_off.(arity)) wild_v in
+  let kcursor = Array.copy key_off in
+  Array.iteri
+    (fun i ->
+      Option.iter (fun (p, v) ->
+          key_rule.(kcursor.(p)) <- i;
+          key_val.(kcursor.(p)) <- v;
+          kcursor.(p) <- kcursor.(p) + 1))
+    keys;
   {
     pos_of_name;
     arity;
@@ -543,6 +620,11 @@ let assemble ~pos_of_name ~arity protos =
     masks;
     watch_off;
     watch;
+    key_off;
+    key_rule;
+    key_val;
+    awake = Array.map (fun k -> if Option.is_some k then 0 else max_int) keys;
+    gen = 0;
     autonomous = List.rev !autonomous;
     arena = arena_create arity words;
   }
@@ -591,15 +673,27 @@ let compile_ir space isigma =
   assemble ~pos_of_name:no_names ~arity:(Ir.arity space)
     (Array.of_list (List.map (proto_of_ir space) isigma))
 
+(* The first constant entry among rule slots [off .. off + len - 1]: a
+   keyed rule's key. *)
+let first_const pk off len =
+  let rec go k =
+    if k >= off + len then None
+    else if pk.lhs_val.(k) != wild_v then Some (pk.lhs_pos.(k), pk.lhs_val.(k))
+    else go (k + 1)
+  in
+  go off
+
 let set_rule_ir pk space i ic =
   let words = pk.words in
   let off = pk.lhs_off.(i) in
   let old_len = pk.lhs_len.(i) in
+  let old_key = first_const pk off old_len in
   let mbase = 2 * words * i in
   Array.fill pk.masks mbase (2 * words) 0;
   match proto_of_ir space ic with
   | PAttr_eq (a, b) ->
     if old_len < 1 then invalid_arg "Fast_impl.set_rule_ir: premise grew";
+    pk.awake.(i) <- max_int;
     Bytes.set pk.kind i 'a';
     pk.lhs_len.(i) <- 1;
     pk.lhs_pos.(off) <- a;
@@ -626,8 +720,15 @@ let set_rule_ir pk space i ic =
           pk.masks.(mbase + words + w) <- pk.masks.(mbase + words + w) lor bit
         end)
       lhs;
+    (* A shrink keeps the LHS order, so a kept key entry is still the first
+       constant one; a shrink that drops it leaves the rule keyless, always
+       live. *)
+    (match old_key, first_const pk off len with
+     | Some (p, v), Some (p', v') when p = p' && Value.equal v v' -> ()
+     | _ -> pk.awake.(i) <- max_int);
     (* A rule can {e become} autonomous when its last constrained LHS entry
-       goes; watchers are not shrunk (stale entries are harmless). *)
+       goes; watchers and keys are not shrunk (stale entries are
+       harmless). *)
     if !all_wild && not (List.mem i pk.autonomous) then
       pk.autonomous <- i :: pk.autonomous
 

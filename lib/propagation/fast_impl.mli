@@ -31,7 +31,14 @@
     - {b a goal stop} — a query's chase stops as soon as the query's RHS
       holds (its cells equal and, for a constant RHS, bound to the
       constant).  The chase state only grows, so the answer is the
-      fixpoint's; counted [fast_impl.goal_stops].
+      fixpoint's; counted [fast_impl.goal_stops];
+    - {b constant-keyed wake-up} — a rule with a constant LHS entry is
+      keyed on the first one and stays dormant in a chase until a cell at
+      the key position is bound to the key constant; the watcher scan
+      skips it until then ([fast_impl.dormant_skips]).  Constants only
+      accumulate and every newly bound position is queued, so the rule is
+      live before its premise can hold.  A witness-collecting chase
+      ([?fired]) treats every rule as live.
 
     Its decisions are checked against the tableau chase of {!Propagate}
     (over the identity view) on random narrow and wide schemas, plain and
@@ -61,7 +68,8 @@ val compile_ir : Ir.space -> Ir.t list -> compiled
     Precondition: [ic]'s premise positions are a subset of the old rule
     [i]'s (MinCover's LHS reductions only ever shrink premises) — the
     semi-naive watcher index is not extended, only the autonomous set can
-    grow.  This is what lets one {!compile_ir} per MinCover site survive
+    grow, and a shrink that drops the rule's wake-up key makes the rule
+    keyless (always live).  This is what lets one {!compile_ir} per MinCover site survive
     the whole reduction loop. *)
 val set_rule_ir : compiled -> Ir.space -> int -> Ir.t -> unit
 

@@ -8,6 +8,7 @@ let s_cover = Obs.histogram "propcover.cover"
 let s_initial_mincover = Obs.histogram "propcover.initial_mincover"
 let s_rename = Obs.histogram "propcover.rename"
 let s_compute_eq = Obs.histogram "propcover.compute_eq"
+let s_substitute = Obs.histogram "propcover.substitute"
 let s_rbr = Obs.histogram "propcover.rbr"
 let s_eq2cfd = Obs.histogram "propcover.eq2cfd"
 let s_final_mincover = Obs.histogram "propcover.final_mincover"
@@ -265,57 +266,64 @@ let compute_cover ?provenance options (v : Spc.t) sigma =
   | Compute_eq.Bottom_ir ->
     { cover = empty_view_cover v; complete = true; always_empty = true }
   | Compute_eq.Classes_ir classes ->
-    (* Lines 7-10: representative substitution; keep Y members as reps. *)
     let y_ids = List.map (Ir.intern ctx) y in
     let in_y id = List.mem id y_ids in
-    let rep_map = Compute_eq.representatives_ir classes ~prefer:in_y in
-    let rep_of a =
-      match List.assoc_opt a rep_map with Some r -> r | None -> a
+    (* Lines 7-10: representative substitution; keep Y members as reps. *)
+    let rep_of, sigma_v =
+      Obs.with_span s_substitute @@ fun () ->
+        (* Representatives by id, every id interned so far; the first
+           binding wins, as with [List.assoc], so the bindings are written
+           last to first. *)
+        let reps = Array.init (Cfds.Interner.size (Ir.interner ctx)) Fun.id in
+        List.iter
+          (fun (a, r) -> reps.(a) <- r)
+          (List.rev (Compute_eq.representatives_ir classes ~prefer:in_y));
+        let rep_of a = reps.(a) in
+        (* The substitution is justified by the classes that merged each
+           renamed attribute with its representative — their contributors are
+           extra provenance parents beside the CFD itself. *)
+        let prov = Provenance.records ctx in
+        let sigma_v =
+          List.filter_map
+            (fun ic ->
+              match Ir.rename ic rep_of with
+              | None -> None
+              | Some ic' ->
+                if prov then begin
+                  let deps =
+                    Ir.attrs ic
+                    |> List.filter (fun a -> rep_of a <> a)
+                    |> List.concat_map (fun a ->
+                           match Compute_eq.class_of_ir classes a with
+                           | Some cl -> cl.Compute_eq.icontribs
+                           | None -> [])
+                  in
+                  Provenance.record_ir ctx ic' (Provenance.Renamed "representative")
+                    (ic :: deps)
+                end;
+                Some ic')
+            sigma_v
+        in
+        (* Key CFDs (∅ → rep, (‖ key)) let RBR resolve away keyed attributes
+           that are not projected (Lemma 4.3 / domain constraints as CFDs). *)
+        let key_cfds =
+          List.filter_map
+            (fun (cl : Compute_eq.eq_class_ir) ->
+              match cl.Compute_eq.ikey with
+              | Some value ->
+                let kc =
+                  Ir.make v.Spc.name []
+                    (rep_of (List.hd cl.Compute_eq.iattrs), P.Const value)
+                in
+                if prov then
+                  Provenance.record_ir ctx kc Provenance.Eq_class
+                    cl.Compute_eq.icontribs;
+                Some kc
+              | None -> None)
+            classes
+        in
+        (rep_of, List.sort_uniq Ir.compare (key_cfds @ sigma_v))
     in
-    (* The substitution is justified by the classes that merged each
-       renamed attribute with its representative — their contributors are
-       extra provenance parents beside the CFD itself. *)
-    let prov = Provenance.records ctx in
-    let sigma_v =
-      List.filter_map
-        (fun ic ->
-          match Ir.rename ic rep_of with
-          | None -> None
-          | Some ic' ->
-            if prov then begin
-              let deps =
-                Ir.attrs ic
-                |> List.filter (fun a -> rep_of a <> a)
-                |> List.concat_map (fun a ->
-                       match Compute_eq.class_of_ir classes a with
-                       | Some cl -> cl.Compute_eq.icontribs
-                       | None -> [])
-              in
-              Provenance.record_ir ctx ic' (Provenance.Renamed "representative")
-                (ic :: deps)
-            end;
-            Some ic')
-        sigma_v
-    in
-    (* Key CFDs (∅ → rep, (‖ key)) let RBR resolve away keyed attributes
-       that are not projected (Lemma 4.3 / domain constraints as CFDs). *)
-    let key_cfds =
-      List.filter_map
-        (fun (cl : Compute_eq.eq_class_ir) ->
-          match cl.Compute_eq.ikey with
-          | Some value ->
-            let kc =
-              Ir.make v.Spc.name []
-                (rep_of (List.hd cl.Compute_eq.iattrs), P.Const value)
-            in
-            if prov then
-              Provenance.record_ir ctx kc Provenance.Eq_class
-                cl.Compute_eq.icontribs;
-            Some kc
-          | None -> None)
-        classes
-    in
-    let sigma_v = List.sort_uniq Ir.compare (key_cfds @ sigma_v) in
     (* Line 11: RBR over the non-projected representative attributes. *)
     let body_reps = List.sort_uniq Int.compare (List.map rep_of body_ids) in
     let drop_ids = List.filter (fun a -> not (in_y a)) body_reps in

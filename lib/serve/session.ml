@@ -92,6 +92,22 @@ type t = {
 
 let normalize_sigma l = List.sort_uniq C.compare (List.map C.canonical l)
 
+(* [insert_sorted c sigma] for a canonical [c] and a [sigma] in
+   [normalize_sigma] form (every snapshot's Σ is): [None] when [c] is
+   already a member, else [Some (normalize_sigma (c :: sigma))] — one walk
+   instead of a re-sort.  On canonical CFDs [C.compare] is 0 exactly when
+   [C.equal] holds. *)
+let insert_sorted c sigma =
+  let rec go prefix = function
+    | [] -> Some (List.rev_append prefix [ c ])
+    | d :: rest as l ->
+      let k = C.compare c d in
+      if k = 0 then None
+      else if k < 0 then Some (List.rev_append prefix (c :: l))
+      else go (d :: prefix) rest
+  in
+  go [] sigma
+
 let cfds_equal a b =
   List.length a = List.length b && List.for_all2 C.equal a b
 
@@ -385,11 +401,17 @@ let apply_delta_locked t dop c =
     Error (Printf.sprintf "CFD on unknown source relation %s" c.C.rel)
   else begin
     let snap = Atomic.get t.snap in
-    let present = List.exists (C.equal c) snap.snap_sigma in
-    let noop =
-      match dop with `Add -> present | `Remove -> not present
+    (* The Σ after the delta, or [None] when the delta changes nothing. *)
+    let next_sigma =
+      match dop with
+      | `Add -> insert_sorted c snap.snap_sigma
+      | `Remove ->
+        if List.exists (C.equal c) snap.snap_sigma then
+          Some (List.filter (fun d -> not (C.equal d c)) snap.snap_sigma)
+        else None
     in
-    if noop then begin
+    match next_sigma with
+    | None ->
       Atomic.incr t.st_noops;
       Ok
         {
@@ -401,13 +423,7 @@ let apply_delta_locked t dop c =
           removed = [];
           stale = Some [];
         }
-    end
-    else begin
-      let sigma' =
-        match dop with
-        | `Add -> normalize_sigma (c :: snap.snap_sigma)
-        | `Remove -> List.filter (fun d -> not (C.equal d c)) snap.snap_sigma
-      in
+    | Some sigma' ->
       let rel = c.C.rel in
       let swap snap' =
         Atomic.set t.snap snap';
@@ -515,7 +531,6 @@ let apply_delta_locked t dop c =
             }
         end
       end
-    end
   end
 
 (* Per-tier latency: the plan is only known once the delta resolves, so

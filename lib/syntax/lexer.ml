@@ -13,6 +13,7 @@ type token =
   | Arrow
   | Eqeq
   | Le
+  | Eof
 
 let pp_token ppf = function
   | Ident s -> Fmt.pf ppf "identifier %s" s
@@ -29,50 +30,74 @@ let pp_token ppf = function
   | Arrow -> Fmt.string ppf "->"
   | Eqeq -> Fmt.string ppf "=="
   | Le -> Fmt.string ppf "<="
+  | Eof -> Fmt.string ppf "end of input"
+
+exception Error of string * int
+
+type t = { src : string; mutable pos : int }
+
+let of_string src = { src; pos = 0 }
 
 let is_ident_start c =
   (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
 
-let is_ident_char c = is_ident_start c || (c >= '0' && c <= '9') || c = '\''
+let is_digit c = c >= '0' && c <= '9'
+let is_ident_char c = is_ident_start c || is_digit c || c = '\''
+let not_newline c = c <> '\n'
+
+(* The end of the run of [pred] characters of [s] from [j]. *)
+let rec span pred s j =
+  if j < String.length s && pred (String.unsafe_get s j) then span pred s (j + 1)
+  else j
+
+let emit b pos t =
+  b.pos <- pos;
+  t
+
+let rec next b =
+  let s = b.src in
+  let n = String.length s in
+  let i = b.pos in
+  if i >= n then Eof
+  else
+    match String.unsafe_get s i with
+    | ' ' | '\t' | '\n' | '\r' ->
+      b.pos <- i + 1;
+      next b
+    | '#' ->
+      b.pos <- span not_newline s i;
+      next b
+    | '(' -> emit b (i + 1) Lparen
+    | ')' -> emit b (i + 1) Rparen
+    | '[' -> emit b (i + 1) Lbracket
+    | ']' -> emit b (i + 1) Rbracket
+    | ',' -> emit b (i + 1) Comma
+    | ';' -> emit b (i + 1) Semicolon
+    | ':' -> emit b (i + 1) Colon
+    | '-' when i + 1 < n && s.[i + 1] = '>' -> emit b (i + 2) Arrow
+    | '=' when i + 1 < n && s.[i + 1] = '=' -> emit b (i + 2) Eqeq
+    | '<' when i + 1 < n && s.[i + 1] = '=' -> emit b (i + 2) Le
+    | '=' -> emit b (i + 1) Equal
+    | '\'' -> (
+      match String.index_from_opt s (i + 1) '\'' with
+      | None -> raise (Error ("unterminated string literal", i))
+      | Some j -> emit b (j + 1) (String (String.sub s (i + 1) (j - i - 1))))
+    | '0' .. '9' -> (
+      let j = span is_digit s i in
+      match int_of_string_opt (String.sub s i (j - i)) with
+      | Some v -> emit b j (Int v)
+      | None -> raise (Error ("integer literal out of range", i)))
+    | c when is_ident_start c ->
+      let j = span is_ident_char s i in
+      emit b j (Ident (String.sub s i (j - i)))
+    | c -> raise (Error (Printf.sprintf "unexpected character %c" c, i))
 
 let tokenize s =
-  let n = String.length s in
-  let rec go i acc =
-    if i >= n then Ok (List.rev acc)
-    else
-      match s.[i] with
-      | ' ' | '\t' | '\n' | '\r' -> go (i + 1) acc
-      | '#' ->
-        let rec skip j = if j < n && s.[j] <> '\n' then skip (j + 1) else j in
-        go (skip i) acc
-      | '(' -> go (i + 1) (Lparen :: acc)
-      | ')' -> go (i + 1) (Rparen :: acc)
-      | '[' -> go (i + 1) (Lbracket :: acc)
-      | ']' -> go (i + 1) (Rbracket :: acc)
-      | ',' -> go (i + 1) (Comma :: acc)
-      | ';' -> go (i + 1) (Semicolon :: acc)
-      | ':' -> go (i + 1) (Colon :: acc)
-      | '-' when i + 1 < n && s.[i + 1] = '>' -> go (i + 2) (Arrow :: acc)
-      | '=' when i + 1 < n && s.[i + 1] = '=' -> go (i + 2) (Eqeq :: acc)
-      | '<' when i + 1 < n && s.[i + 1] = '=' -> go (i + 2) (Le :: acc)
-      | '=' -> go (i + 1) (Equal :: acc)
-      | '\'' ->
-        let rec find j =
-          if j >= n then Error ("unterminated string literal", i)
-          else if s.[j] = '\'' then Ok j
-          else find (j + 1)
-        in
-        (match find (i + 1) with
-         | Error e -> Error e
-         | Ok j -> go (j + 1) (String (String.sub s (i + 1) (j - i - 1)) :: acc))
-      | c when c >= '0' && c <= '9' ->
-        let rec find j = if j < n && s.[j] >= '0' && s.[j] <= '9' then find (j + 1) else j in
-        let j = find i in
-        go j (Int (int_of_string (String.sub s i (j - i))) :: acc)
-      | c when is_ident_start c ->
-        let rec find j = if j < n && is_ident_char s.[j] then find (j + 1) else j in
-        let j = find i in
-        go j (Ident (String.sub s i (j - i)) :: acc)
-      | c -> Error (Printf.sprintf "unexpected character %c" c, i)
+  let b = of_string s in
+  let rec go acc =
+    match next b with
+    | Eof -> Ok (List.rev acc)
+    | t -> go (t :: acc)
+    | exception Error (msg, pos) -> Error (msg, pos)
   in
-  go 0 []
+  go []

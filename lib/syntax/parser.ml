@@ -15,21 +15,28 @@ exception Parse_error of string
 
 let fail fmt = Fmt.kstr (fun s -> raise (Parse_error s)) fmt
 
-(* A tiny token-stream state. *)
-type state = { mutable tokens : L.token list }
+(* The smart constructors reject bad declarations with [Invalid_argument];
+   the parser reports them as parse errors. *)
+let checked f x = try f x with Invalid_argument m -> fail "%s" m
 
-let peek st = match st.tokens with t :: _ -> Some t | [] -> None
+(* The lexer and a one-token lookahead: tokens are lexed as the parser
+   asks for them. *)
+type state = { lex : L.t; mutable look : L.token }
+
+let peek st = st.look
 
 let next st =
-  match st.tokens with
-  | t :: rest ->
-    st.tokens <- rest;
+  match st.look with
+  | L.Eof -> fail "unexpected end of input"
+  | t ->
+    st.look <- L.next st.lex;
     t
-  | [] -> fail "unexpected end of input"
 
+(* [tok] is always a payload-free token, so physical equality decides it
+   without a polymorphic compare. *)
 let expect st tok =
   let t = next st in
-  if t <> tok then fail "expected %a but found %a" L.pp_token tok L.pp_token t
+  if t != tok then fail "expected %a but found %a" L.pp_token tok L.pp_token t
 
 let ident st =
   match next st with
@@ -44,20 +51,19 @@ let value st =
   | L.Ident "false" -> Value.bool false
   | t -> fail "expected a value, found %a" L.pp_token t
 
+(* [sep] and [stop] are payload-free tokens, as in [expect]. *)
 let sep_list st ~sep ~stop parse_item =
   let rec go acc =
     let acc = parse_item st :: acc in
     match peek st with
-    | Some t when t = sep ->
+    | L.Eof -> fail "unexpected end of input"
+    | t when t == sep ->
       ignore (next st);
       go acc
-    | Some t when t = stop -> List.rev acc
-    | Some t -> fail "expected %a or %a, found %a" L.pp_token sep L.pp_token stop L.pp_token t
-    | None -> fail "unexpected end of input"
+    | t when t == stop -> List.rev acc
+    | t -> fail "expected %a or %a, found %a" L.pp_token sep L.pp_token stop L.pp_token t
   in
-  match peek st with
-  | Some t when t = stop -> []
-  | _ -> go []
+  if peek st == stop then [] else go []
 
 (* schema R(A: string, B: enum(1, 2)); *)
 let parse_type st =
@@ -69,7 +75,7 @@ let parse_type st =
     expect st L.Lparen;
     let vs = sep_list st ~sep:L.Comma ~stop:L.Rparen value in
     expect st L.Rparen;
-    Domain.finite vs
+    checked Domain.finite vs
   | t -> fail "expected a type, found %a" L.pp_token t
 
 let parse_schema st =
@@ -84,13 +90,13 @@ let parse_schema st =
   let attrs = sep_list st ~sep:L.Comma ~stop:L.Rparen attr in
   expect st L.Rparen;
   expect st L.Semicolon;
-  Schema.relation name attrs
+  checked (Schema.relation name) attrs
 
 (* cfd R([A='a', B] -> [C='c']);  or  cfd R(A == B); *)
 let parse_entry st =
   let a = ident st in
   match peek st with
-  | Some L.Equal ->
+  | L.Equal ->
     ignore (next st);
     (a, P.Const (value st))
   | _ -> (a, P.Wild)
@@ -99,7 +105,7 @@ let parse_cfd st =
   let rel = ident st in
   expect st L.Lparen;
   match peek st with
-  | Some L.Lbracket ->
+  | L.Lbracket ->
     ignore (next st);
     let lhs = sep_list st ~sep:L.Comma ~stop:L.Rbracket parse_entry in
     expect st L.Rbracket;
@@ -110,7 +116,7 @@ let parse_cfd st =
     expect st L.Rparen;
     expect st L.Semicolon;
     if rhs = [] then fail "CFD with an empty right-hand side";
-    C.normalize { C.grel = rel; C.glhs = lhs; C.grhs = rhs }
+    checked C.normalize { C.grel = rel; C.glhs = lhs; C.grhs = rhs }
   | _ ->
     let a = ident st in
     expect st L.Eqeq;
@@ -143,7 +149,7 @@ let parse_cind st =
   expect st L.Le;
   let rhs = side st in
   expect st L.Semicolon;
-  try Cfds.Cind.make ~lhs ~rhs with Invalid_argument m -> fail "%s" m
+  checked (fun rhs -> Cfds.Cind.make ~lhs ~rhs) rhs
 
 (* data R = ('a', 'b'), ('c', 'd'); *)
 let parse_data st schema =
@@ -182,8 +188,7 @@ let parse_view st schema =
     expect st L.Lparen;
     let names = sep_list st ~sep:L.Comma ~stop:L.Rparen ident in
     expect st L.Rparen;
-    try Spc.atom schema base names
-    with Invalid_argument m -> fail "%s" m
+    checked (Spc.atom schema base) names
   in
   let atoms = sep_list st ~sep:L.Comma ~stop:L.Rbracket atom in
   expect st L.Rbracket;
@@ -205,19 +210,19 @@ let parse_view st schema =
   in
   let rec clauses () =
     match peek st with
-    | Some (L.Ident "where") ->
+    | L.Ident "where" ->
       ignore (next st);
       expect st L.Lbracket;
       selection := sep_list st ~sep:L.Comma ~stop:L.Rbracket parse_sel;
       expect st L.Rbracket;
       clauses ()
-    | Some (L.Ident "constants") ->
+    | L.Ident "constants" ->
       ignore (next st);
       expect st L.Lbracket;
       constants := sep_list st ~sep:L.Comma ~stop:L.Rbracket parse_const;
       expect st L.Rbracket;
       clauses ()
-    | Some (L.Ident "project") ->
+    | L.Ident "project" ->
       ignore (next st);
       expect st L.Lbracket;
       projection := Some (sep_list st ~sep:L.Comma ~stop:L.Rbracket ident);
@@ -239,84 +244,96 @@ let parse_view st schema =
   | Ok v -> v
   | Error m -> fail "view %s: %s" name m
 
+let parse_declarations st =
+  let schemas = ref [] and cfds = ref [] and pending_views = ref [] in
+  let cinds = ref [] and data_rows = ref [] in
+  let rec go () =
+    match peek st with
+    | L.Eof -> ()
+    | L.Ident "schema" ->
+      ignore (next st);
+      schemas := parse_schema st :: !schemas;
+      go ()
+    | L.Ident "cfd" ->
+      ignore (next st);
+      (* CFDs may reference views declared later; defer validation. *)
+      cfds := parse_cfd st @ !cfds;
+      go ()
+    | L.Ident "view" ->
+      ignore (next st);
+      let schema = checked Schema.db (List.rev !schemas) in
+      pending_views := parse_view st schema :: !pending_views;
+      go ()
+    | L.Ident "cind" ->
+      ignore (next st);
+      cinds := parse_cind st :: !cinds;
+      go ()
+    | L.Ident "data" ->
+      ignore (next st);
+      let schema = checked Schema.db (List.rev !schemas) in
+      data_rows := parse_data st schema :: !data_rows;
+      go ()
+    | t -> fail "expected a declaration, found %a" L.pp_token t
+  in
+  go ();
+  let schema = checked Schema.db (List.rev !schemas) in
+  (* Validate CIND attribute references. *)
+  List.iter
+    (fun (c : Cfds.Cind.t) ->
+      List.iter
+        (fun (side : Cfds.Cind.side) ->
+          if not (Schema.mem schema side.Cfds.Cind.rel) then
+            fail "CIND over unknown relation %s" side.Cfds.Cind.rel;
+          let rel = Schema.find schema side.Cfds.Cind.rel in
+          List.iter
+            (fun a ->
+              if not (Schema.mem_attr rel a) then
+                fail "CIND attribute %s not in %s" a side.Cfds.Cind.rel)
+            (side.Cfds.Cind.attrs @ List.map fst side.Cfds.Cind.condition))
+        [ c.Cfds.Cind.lhs; c.Cfds.Cind.rhs ])
+    !cinds;
+  let data =
+    let by_rel = Hashtbl.create 8 in
+    List.iter
+      (fun (name, rows) ->
+        Hashtbl.replace by_rel name
+          (rows @ Option.value ~default:[] (Hashtbl.find_opt by_rel name)))
+      !data_rows;
+    Database.make schema
+      (Hashtbl.fold
+         (fun name rows acc ->
+           Relation.make (Schema.find schema name) rows :: acc)
+         by_rel [])
+  in
+  {
+    schema;
+    cfds = List.rev !cfds;
+    cinds = List.rev !cinds;
+    views = List.rev !pending_views;
+    data;
+  }
+
 let parse_document input =
-  match L.tokenize input with
-  | Error (msg, pos) -> Error (Printf.sprintf "lexical error at offset %d: %s" pos msg)
-  | Ok tokens ->
-    let st = { tokens } in
-    let schemas = ref [] and cfds = ref [] and pending_views = ref [] in
-    let cinds = ref [] and data_rows = ref [] in
-    (try
-       let rec go () =
-         match peek st with
-         | None -> ()
-         | Some (L.Ident "schema") ->
-           ignore (next st);
-           schemas := parse_schema st :: !schemas;
-           go ()
-         | Some (L.Ident "cfd") ->
-           ignore (next st);
-           (* CFDs may reference views declared later; defer validation. *)
-           cfds := parse_cfd st @ !cfds;
-           go ()
-         | Some (L.Ident "view") ->
-           ignore (next st);
-           let schema = Schema.db (List.rev !schemas) in
-           pending_views := parse_view st schema :: !pending_views;
-           go ()
-         | Some (L.Ident "cind") ->
-           ignore (next st);
-           cinds := parse_cind st :: !cinds;
-           go ()
-         | Some (L.Ident "data") ->
-           ignore (next st);
-           let schema = Schema.db (List.rev !schemas) in
-           data_rows := parse_data st schema :: !data_rows;
-           go ()
-         | Some t -> fail "expected a declaration, found %a" L.pp_token t
-       in
-       go ();
-       let schema =
-         try Schema.db (List.rev !schemas)
-         with Invalid_argument m -> fail "%s" m
-       in
-       (* Validate CIND attribute references. *)
-       List.iter
-         (fun (c : Cfds.Cind.t) ->
-           List.iter
-             (fun (side : Cfds.Cind.side) ->
-               if not (Schema.mem schema side.Cfds.Cind.rel) then
-                 fail "CIND over unknown relation %s" side.Cfds.Cind.rel;
-               let rel = Schema.find schema side.Cfds.Cind.rel in
-               List.iter
-                 (fun a ->
-                   if not (Schema.mem_attr rel a) then
-                     fail "CIND attribute %s not in %s" a side.Cfds.Cind.rel)
-                 (side.Cfds.Cind.attrs @ List.map fst side.Cfds.Cind.condition))
-             [ c.Cfds.Cind.lhs; c.Cfds.Cind.rhs ])
-         !cinds;
-       let data =
-         let by_rel = Hashtbl.create 8 in
-         List.iter
-           (fun (name, rows) ->
-             Hashtbl.replace by_rel name
-               (rows @ Option.value ~default:[] (Hashtbl.find_opt by_rel name)))
-           !data_rows;
-         Database.make schema
-           (Hashtbl.fold
-              (fun name rows acc ->
-                Relation.make (Schema.find schema name) rows :: acc)
-              by_rel [])
-       in
-       Ok
-         {
-           schema;
-           cfds = List.rev !cfds;
-           cinds = List.rev !cinds;
-           views = List.rev !pending_views;
-           data;
-         }
-     with Parse_error m -> Error m)
+  let lex = L.of_string input in
+  let lexical_error msg pos =
+    Error (Printf.sprintf "lexical error at offset %d: %s" pos msg)
+  in
+  (* A lexical error anywhere in the input wins over a parse error, as if
+     the whole input had been lexed first: on a parse error, lex the rest
+     of the input for one. *)
+  let rec rest_lexes () =
+    match L.next lex with
+    | L.Eof -> None
+    | _ -> rest_lexes ()
+    | exception L.Error (msg, pos) -> Some (msg, pos)
+  in
+  match parse_declarations { lex; look = L.next lex } with
+  | doc -> Ok doc
+  | exception L.Error (msg, pos) -> lexical_error msg pos
+  | exception Parse_error m -> (
+    match rest_lexes () with
+    | Some (msg, pos) -> lexical_error msg pos
+    | None -> Error m)
 
 (* --- Printers ----------------------------------------------------------- *)
 

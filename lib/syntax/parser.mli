@@ -35,6 +35,11 @@ type document = {
   data : Database.t;
 }
 
+(** [parse_document text] parses a whole declaration file.  It never
+    raises: bad input, including a declaration that a smart constructor
+    rejects (a duplicate attribute, an empty enum), is an [Error] with a
+    message.  A lexical error anywhere in [text] is reported in
+    preference to an earlier parse error. *)
 val parse_document : string -> (document, string) result
 
 (** Printers producing parseable text (inverses of the parser). *)

@@ -11,6 +11,9 @@
      MinCover (a member with one LHS attribute dropped), which the goal
      stop cuts short when they are implied; a witness-collecting query
      ([~fired], which runs to the fixpoint) answers the same;
+   - rules patched in place by [set_rule_ir] keep those answers, whether
+     the shrink drops the rule's wake-up key or keeps it;
+   - a keyed rule wakes when its key constant arrives by a union;
    - wide schemas actually prune: [fast_impl.mask_prune_skips] is nonzero
      past arity 63;
    - the steady-state query loop allocates nothing on the minor heap.
@@ -66,17 +69,12 @@ let queries sigma =
             phi.C.lhs)
       sigma
 
-(* One workload, every query shape: the kernel's AST and IR front-ends
-   against the chase on Σ, then each leave-one-out mask the MinCover
-   loops use against the chase on Σ minus that rule.  Every kernel answer
-   is also asked with [~fired], which turns the goal stop off. *)
-let kernel_matches_chase ~min_arity ~max_arity seed =
-  let rel, sigma = relation_workload ~min_arity ~max_arity ~max_lhs:4 seed in
-  let view = P.Implication.identity_view rel in
-  let compiled = P.Fast_impl.compile rel sigma in
-  let ctx = Ir.create_ctx () in
-  let space = Ir.space_of_schema ctx rel in
-  let icompiled = P.Fast_impl.compile_ir space (List.map (Ir.of_ast ctx) sigma) in
+(* Every query shape of [sigma] through the IR front-end against the
+   chase on [sigma], then each leave-one-out mask the MinCover loops use
+   against the chase on Σ minus that rule.  Every kernel answer is also
+   asked with [~fired], which turns the goal stop off.  [also phi
+   expected] adds checks on the unmasked queries. *)
+let ir_matches_chase ?(also = fun _ _ -> true) view ctx space icompiled sigma =
   let qs = queries sigma in
   let iqs = List.map (Ir.of_ast ctx) qs in
   let fired () = Bytes.make (List.length sigma) '\000' in
@@ -84,8 +82,7 @@ let kernel_matches_chase ~min_arity ~max_arity seed =
     List.for_all2
       (fun phi iphi ->
         let expected = chase_implies view sigma phi in
-        P.Fast_impl.implies compiled phi = expected
-        && P.Fast_impl.implies ~fired:(fired ()) compiled phi = expected
+        also phi expected
         && P.Fast_impl.implies_ir space icompiled iphi = expected
         && P.Fast_impl.implies_ir ~fired:(fired ()) space icompiled iphi
            = expected)
@@ -111,6 +108,19 @@ let kernel_matches_chase ~min_arity ~max_arity seed =
     sigma;
   plain_ok && !masked_ok
 
+(* One workload, every query shape, through the AST front-end too. *)
+let kernel_matches_chase ~min_arity ~max_arity seed =
+  let rel, sigma = relation_workload ~min_arity ~max_arity ~max_lhs:4 seed in
+  let compiled = P.Fast_impl.compile rel sigma in
+  let ctx = Ir.create_ctx () in
+  let space = Ir.space_of_schema ctx rel in
+  let icompiled = P.Fast_impl.compile_ir space (List.map (Ir.of_ast ctx) sigma) in
+  let fired () = Bytes.make (List.length sigma) '\000' in
+  ir_matches_chase (P.Implication.identity_view rel) ctx space icompiled sigma
+    ~also:(fun phi expected ->
+      P.Fast_impl.implies compiled phi = expected
+      && P.Fast_impl.implies ~fired:(fired ()) compiled phi = expected)
+
 let prop_narrow_matches_chase =
   QCheck2.Test.make ~name:"kernel = chase (narrow schemas)" ~count:60
     gen_seed
@@ -122,7 +132,106 @@ let prop_wide_matches_chase =
     ~count:10 gen_seed
     (kernel_matches_chase ~min_arity:64 ~max_arity:80)
 
-(* --- (b) wide schemas keep mask pruning --------------------------------- *)
+(* --- (b) constant-keyed wake-up ------------------------------------------- *)
+
+(* The wake-up key of a standard rule: its first constant LHS entry. *)
+let key_entry ic =
+  Array.find_opt
+    (fun (_, p) -> match p with Cfds.Pattern.Const _ -> true | _ -> false)
+    ic.Ir.lhs
+
+let constants ic =
+  Array.fold_left
+    (fun n (_, p) -> match p with Cfds.Pattern.Const _ -> n + 1 | _ -> n)
+    0 ic.Ir.lhs
+
+(* MinCover patches shrunk rules into the compiled set.  Shrink one rule
+   by its key entry (it must become keyless: always live) and another by
+   a non-key entry (it stays keyed), then every query shape must agree
+   with the chase over the updated Σ.  The key-dropped rule is picked with
+   a second constant where one exists, so it cannot fire from the
+   autonomous pass alone. *)
+let patched_rules_match_chase seed =
+  let rel, sigma = relation_workload ~min_arity:4 ~max_arity:7 ~max_lhs:4 seed in
+  let view = P.Implication.identity_view rel in
+  let ctx = Ir.create_ctx () in
+  let space = Ir.space_of_schema ctx rel in
+  let isigma = Array.of_list (List.map (Ir.of_ast ctx) sigma) in
+  let compiled = P.Fast_impl.compile_ir space (Array.to_list isigma) in
+  (* Standard rules with a key and at least one more LHS entry. *)
+  let key_of i =
+    if Ir.is_attr_eq isigma.(i) || Array.length isigma.(i).Ir.lhs < 2 then None
+    else Option.map fst (key_entry isigma.(i))
+  in
+  let pick p =
+    List.find_opt (fun i -> key_of i <> None && p i)
+      (List.init (Array.length isigma) Fun.id)
+  in
+  let shrink i a =
+    isigma.(i) <- Ir.drop_lhs isigma.(i) a;
+    P.Fast_impl.set_rule_ir compiled space i isigma.(i)
+  in
+  let drop =
+    match pick (fun i -> constants isigma.(i) >= 2) with
+    | Some i -> Some i
+    | None -> pick (fun _ -> true)
+  in
+  let keep = pick (fun j -> Some j <> drop) in
+  Option.iter (fun i -> Option.iter (shrink i) (key_of i)) drop;
+  Option.iter
+    (fun j ->
+      let k = key_of j in
+      match Array.find_opt (fun (a, _) -> Some a <> k) isigma.(j).Ir.lhs with
+      | Some (a, _) -> shrink j a
+      | None -> ())
+    keep;
+  ir_matches_chase view ctx space compiled
+    (List.map (Ir.to_ast ctx) (Array.to_list isigma))
+
+let prop_patched_rules_match_chase =
+  QCheck2.Test.make ~name:"kernel = chase after set_rule_ir shrinks" ~count:40
+    gen_seed patched_rules_match_chase
+
+(* A keyed rule's key constant can arrive by a union with a bound class
+   rather than by a bind: the attr-eq rule (D == B) merges B's class with
+   D's, which the query binds to 5, and the rule keyed on B = 5 must wake
+   and fire.  The rule keyed on B = 7 never wakes. *)
+let test_wake_by_union () =
+  let r =
+    Schema.relation "R"
+      (List.map (fun a -> Attribute.make a Domain.int) [ "A"; "B"; "C"; "D"; "E" ])
+  in
+  let c v = Cfds.Pattern.Const (Value.int v) and w = Cfds.Pattern.Wild in
+  let sigma =
+    [
+      C.attr_eq "R" "D" "B";
+      C.make "R" [ ("A", w); ("B", c 5) ] ("C", w);
+      C.make "R" [ ("A", w); ("B", c 7) ] ("E", w);
+    ]
+  in
+  let view = P.Implication.identity_view r in
+  let phi = C.make "R" [ ("A", w); ("D", c 5) ] ("C", w) in
+  let psi = C.make "R" [ ("A", w); ("D", c 5) ] ("E", w) in
+  Fixtures.check_bool "oracle: implied" true (chase_implies view sigma phi);
+  Fixtures.check_bool "oracle: not implied" false (chase_implies view sigma psi);
+  Obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.set_enabled false) @@ fun () ->
+  let compiled = P.Fast_impl.compile r sigma in
+  Fixtures.check_bool "woken by the union" true (P.Fast_impl.implies compiled phi);
+  Fixtures.check_bool "other key stays dormant" false
+    (P.Fast_impl.implies compiled psi);
+  let ctx = Ir.create_ctx () in
+  let space = Ir.space_of_schema ctx r in
+  let icompiled = P.Fast_impl.compile_ir space (List.map (Ir.of_ast ctx) sigma) in
+  Fixtures.check_bool "IR: woken by the union" true
+    (P.Fast_impl.implies_ir space icompiled (Ir.of_ast ctx phi));
+  let dormant =
+    Option.value ~default:0
+      (List.assoc_opt "fast_impl.dormant_skips" (Obs.snapshot ()).Obs.counters)
+  in
+  Fixtures.check_bool "dormant skips counted" true (dormant > 0)
+
+(* --- (c) wide schemas keep mask pruning --------------------------------- *)
 
 (* Regression for the single-int-mask cliff: past [Sys.int_size - 2]
    attributes such masks are all-zero and pruning silently switches off.
@@ -158,7 +267,7 @@ let test_wide_mask_pruning () =
       Fixtures.check_bool "wide compile tallied" true
         (counter "fast_impl.wide_compiles" > 0))
 
-(* --- (c) steady-state queries allocate nothing -------------------------- *)
+(* --- (d) steady-state queries allocate nothing -------------------------- *)
 
 (* Both query shapes, so the goal stop's exits are on the measured path. *)
 let test_zero_allocation_steady_state () =
@@ -215,6 +324,11 @@ let suite =
     ("wide schemas keep mask pruning", `Quick, test_wide_mask_pruning);
     ("zero-allocation steady state", `Quick, test_zero_allocation_steady_state);
     ("zero-allocation masked queries", `Quick, test_zero_allocation_masked);
+    ("keyed rule wakes by a union", `Quick, test_wake_by_union);
   ]
   @ List.map QCheck_alcotest.to_alcotest
-      [ prop_narrow_matches_chase; prop_wide_matches_chase ]
+      [
+        prop_narrow_matches_chase;
+        prop_wide_matches_chase;
+        prop_patched_rules_match_chase;
+      ]

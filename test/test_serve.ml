@@ -150,6 +150,33 @@ let test_lifecycle () =
   check_bool "reopen after close" true
     (Server.handle_line t (open_line ()) |> is_ok)
 
+(* CFD text the parser rejects draws a [bad CFD] error response, not a
+   failed request, and leaves the session serving. *)
+let test_bad_cfd_text () =
+  let t = Server.create () in
+  check_bool "open" true (Server.handle_line t (open_line ()) |> is_ok);
+  let error_of op cfd =
+    let r =
+      Server.handle_line t
+        (Printf.sprintf "{\"op\": %S, \"session\": \"s\", \"cfd\": %S}" op cfd)
+    in
+    match field r "error" with
+    | Some (Json.Str m) -> m
+    | _ -> Alcotest.failf "%s %s: expected an error, got %s" op cfd r
+  in
+  let big = "V([AC=99999999999999999999999] -> [city])" in
+  (* The request text is wrapped as [cfd <text>;] before parsing. *)
+  check_str "integer literal out of range"
+    (Printf.sprintf
+       "bad CFD: lexical error at offset %d: integer literal out of range"
+       (4 + String.index big '9'))
+    (error_of "propagates" big);
+  check_str "duplicate LHS attribute"
+    "bad CFD: Cfd.make: duplicate LHS attribute zip"
+    (error_of "add_cfd" "R1([zip, zip] -> [street])");
+  check_bool "session still serves" true
+    (Server.handle_line t "{\"op\": \"cover\", \"session\": \"s\"}" |> is_ok)
+
 let test_batch_order () =
   let t = Server.create () in
   let lines =
@@ -165,6 +192,62 @@ let test_batch_order () =
             true
             (field r "id" = Some (Json.Num (float_of_int i))))
         resps)
+
+(* A Tier-A add inserts the CFD into the sorted Σ in place; the [sigma]
+   op must then read byte-for-byte as for a session opened on that Σ,
+   which sorts it from scratch.  R0 and R2 feed no view atom, so every
+   add below is Tier A; they land first, last and in between, with their
+   LHS written out of canonical order. *)
+let test_tier_a_sigma () =
+  let schemas =
+    "schema R0(A: string, B: string, C: string); schema R1(A: string, B: \
+     string, C: string); schema R2(A: string, B: string, C: string); view V \
+     = from [R1(A, B, C)] project [A, B, C];"
+  in
+  let base = [ "R1([A] -> [B])"; "R2([B] -> [C])"; "R2([C='9'] -> [A])" ] in
+  let adds = [ "R0([C, A] -> [B])"; "R2([C, B] -> [A='1'])"; "R2([B] -> [A])" ] in
+  let doc cfds =
+    schemas ^ String.concat "" (List.map (Printf.sprintf " cfd %s;") cfds)
+  in
+  let open_doc name cfds =
+    Printf.sprintf "{\"op\": \"open\", \"session\": %S, \"doc\": %s}" name
+      (Json.to_string (Json.Str (doc cfds)))
+  in
+  let t = Server.create () in
+  check_bool "open" true (Server.handle_line t (open_doc "walk" base) |> is_ok);
+  let sigma name =
+    match
+      field
+        (Server.handle_line t
+           (Printf.sprintf "{\"op\": \"sigma\", \"session\": %S}" name))
+        "sigma"
+    with
+    | Some v -> Json.to_string v
+    | None -> Alcotest.failf "no sigma for %s" name
+  in
+  List.iteri
+    (fun k cfd ->
+      let r =
+        Server.handle_line t
+          (Printf.sprintf
+             "{\"op\": \"add_cfd\", \"session\": \"walk\", \"cfd\": %S}" cfd)
+      in
+      check_bool ("tier A add " ^ cfd) true
+        (field r "plan" = Some (Json.Str "patched"));
+      let fresh = Printf.sprintf "fresh%d" k in
+      let sofar = base @ List.filteri (fun j _ -> j <= k) adds in
+      check_bool "open fresh" true
+        (Server.handle_line t (open_doc fresh sofar) |> is_ok);
+      check_str ("sigma after adding " ^ cfd) (sigma fresh) (sigma "walk"))
+    adds;
+  (* Adding a member again is a noop and leaves Σ as it was. *)
+  let before = sigma "walk" in
+  let r =
+    Server.handle_line t
+      "{\"op\": \"add_cfd\", \"session\": \"walk\", \"cfd\": \"R2([B, C] -> [A='1'])\"}"
+  in
+  check_bool "re-add is a noop" true (field r "plan" = Some (Json.Str "noop"));
+  check_str "noop keeps sigma" before (sigma "walk")
 
 (* ------------------------------------------------------------------ *)
 (* Delta tiers on the running example (Fixtures q1: view over R1 only) *)
@@ -619,6 +702,8 @@ let suite =
     ("json roundtrip", `Quick, test_json_roundtrip);
     ("protocol errors survive", `Quick, test_protocol_errors);
     ("session lifecycle", `Quick, test_lifecycle);
+    ("bad CFD text is an error response", `Quick, test_bad_cfd_text);
+    ("tier A add keeps the sigma op byte-identical", `Quick, test_tier_a_sigma);
     ("batch preserves order", `Quick, test_batch_order);
     ("delta tiers on the running example", `Quick, test_delta_tiers);
     ("cover invariant under sigma order", `Quick, test_sigma_order_invariant);

@@ -6,6 +6,8 @@ module L = Syntax.Lexer
 module Parser = Syntax.Parser
 module C = Cfds.Cfd
 
+let check_str = Alcotest.(check string)
+
 let parse_ok s =
   match Parser.parse_document s with
   | Ok d -> d
@@ -29,9 +31,14 @@ let test_lexer_errors () =
   (match L.tokenize "'unterminated" with
    | Error _ -> ()
    | Ok _ -> Alcotest.fail "unterminated string");
-  match L.tokenize "a ? b" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "bad character"
+  (match L.tokenize "a ? b" with
+   | Error _ -> ()
+   | Ok _ -> Alcotest.fail "bad character");
+  match L.tokenize "A=99999999999999999999999" with
+  | Error (msg, pos) ->
+    check_str "overflow message" "integer literal out of range" msg;
+    check_int "overflow offset" 2 pos
+  | Ok _ -> Alcotest.fail "integer literal out of range"
 
 let test_parse_schema () =
   let d =
@@ -88,6 +95,40 @@ let test_parse_errors () =
   parse_err "schema R(A: string); cfd R([A -> [B]);";
   parse_err "bogus;"
 
+let parse_message s =
+  match Parser.parse_document s with
+  | Ok _ -> Alcotest.failf "expected an error for %S" s
+  | Error m -> m
+
+(* Declarations that the smart constructors reject are reported as
+   errors; none escapes [parse_document] as an exception. *)
+let test_rejected_declarations () =
+  check_str "integer literal out of range"
+    "lexical error at offset 9: integer literal out of range"
+    (parse_message "cfd R([A=99999999999999999999999] -> [B]);");
+  check_str "duplicate LHS attribute" "Cfd.make: duplicate LHS attribute A"
+    (parse_message "cfd R([A, A] -> [B]);");
+  check_str "duplicate schema attribute"
+    "Schema.relation R: duplicate attribute A"
+    (parse_message "schema R(A: int, A: int);");
+  check_str "empty enum" "Domain.finite: empty domain"
+    (parse_message "schema R(A: enum());")
+
+(* Tokens are lexed as the parser asks for them, yet a lexical error
+   anywhere in the input still wins over an earlier parse error. *)
+let test_error_precedence () =
+  let bad_parse = "cfd R([A=1] -> [B]));" in
+  check_str "parse error alone" "expected ; but found )"
+    (parse_message (bad_parse ^ "\ncfd R([C] -> [D]);"));
+  let s = bad_parse ^ "\ncfd R([C] -> [D]);\ncfd R([E] -> [F]); ?" in
+  check_str "later lexical error wins"
+    (Printf.sprintf "lexical error at offset %d: unexpected character ?"
+       (String.index s '?'))
+    (parse_message s);
+  check_str "later unterminated string wins"
+    "lexical error at offset 22: unterminated string literal"
+    (parse_message (bad_parse ^ " 'abc"))
+
 let test_roundtrip_document () =
   let text =
     "schema R1(AC: string, city: string, zip: string);\n\
@@ -138,6 +179,8 @@ let suite =
     ("empty-LHS cfd parsing", `Quick, test_parse_empty_lhs);
     ("view parsing", `Quick, test_parse_view);
     ("parse errors", `Quick, test_parse_errors);
+    ("rejected declarations are errors", `Quick, test_rejected_declarations);
+    ("lexical errors win over parse errors", `Quick, test_error_precedence);
     ("document roundtrip", `Quick, test_roundtrip_document);
     ("parse then decide", `Quick, test_parse_then_decide);
   ]

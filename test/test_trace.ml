@@ -190,6 +190,27 @@ let test_traced_spans_gc_args () =
       (List.mem_assoc "gc_minor_words" e.Obs.ev_args)
   | None -> Alcotest.fail "no end event for traced span"
 
+(* A pool worker's raw [pool.task] event does not hide the spans that its
+   task runs: the outermost [with_span] of each task publishes the [gc.*]
+   counters.  [Gc.quick_stat] counts minor words at minor collections, so
+   each task allocates a few minor heaps' worth. *)
+let test_pooled_spans_publish_gc () =
+  with_trace @@ fun () ->
+  Obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.set_enabled false) @@ fun () ->
+  let h = Obs.histogram "test.pooled" in
+  Parallel.Pool.with_pool ~size:2 (fun pool ->
+      ignore
+        (Parallel.Pool.map ~pool
+           (fun i ->
+             Obs.with_span h (fun () -> List.length (List.init (300_000 + i) Fun.id)))
+           [ 1; 2; 3; 4 ]));
+  let words =
+    Option.value ~default:0
+      (List.assoc_opt "gc.minor_words" (Obs.snapshot ()).Obs.counters)
+  in
+  check_bool "pooled spans publish gc.minor_words" true (words > 0)
+
 let suite =
   [
     ("basic record + well-nested", `Quick, test_basic_record);
@@ -199,4 +220,5 @@ let suite =
     ("chrome JSON export parses", `Quick, test_json_export);
     ("pool tasks nest on worker tracks", `Quick, test_pool_tasks_nested);
     ("traced span attaches GC deltas", `Quick, test_traced_spans_gc_args);
+    ("pooled spans publish gc counters", `Quick, test_pooled_spans_publish_gc);
   ]
