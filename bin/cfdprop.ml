@@ -224,12 +224,22 @@ let parse_view_cfd (doc : Parser.document) text =
     exit 2
   [@@warning "-27"]
 
-let check path cfd_text view_name budget =
-  let doc = load path in
-  let phi = parse_view_cfd doc cfd_text in
+(* The view a CFD argument is asked about: [--view], else the CFD's own
+   relation.  The CFD must be over that view's attributes. *)
+let query_view doc view_name phi =
   let view =
     find_view doc (match view_name with Some _ -> view_name | None -> Some phi.Cfds.Cfd.rel)
   in
+  match Cfds.Cfd.check (Spc.view_schema view) phi with
+  | Ok () -> view
+  | Error msg ->
+    Fmt.epr "bad CFD: %s@." msg;
+    exit 2
+
+let check path cfd_text view_name budget =
+  let doc = load path in
+  let phi = parse_view_cfd doc cfd_text in
+  let view = query_view doc view_name phi in
   let sigma = source_cfds doc in
   let strategy = Propagation.Propagate.Auto { budget } in
   match Propagation.Propagate.decide ~strategy view ~sigma phi with
@@ -253,9 +263,7 @@ let explain path cfd_text view_name budget =
   let doc = load path in
   warn_finite doc;
   let phi = parse_view_cfd doc cfd_text in
-  let view =
-    find_view doc (match view_name with Some _ -> view_name | None -> Some phi.Cfds.Cfd.rel)
-  in
+  let view = query_view doc view_name phi in
   let sigma = source_cfds doc in
   let provenance = Propagation.Provenance.create () in
   let r = Propagation.Propcover.cover ~provenance view sigma in

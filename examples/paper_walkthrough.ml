@@ -8,7 +8,6 @@ open Relational
 module C = Cfds.Cfd
 module P = Cfds.Pattern
 module PC = Propagation.Propcover
-module EQ = Propagation.Compute_eq
 module Rbr = Propagation.Rbr
 
 let str = Value.str
@@ -66,33 +65,20 @@ let () =
   Fmt.pr "V = %a@." Spc.pp view;
   Fmt.pr "Sigma = { %a ; %a }@.@." C.pp psi1 C.pp psi2;
 
-  (* Step: renaming (lines 5-6 of Fig. 2). *)
-  let sigma_v = PC.rename_sources view [ psi1; psi2 ] in
-  Fmt.pr "after renaming (Sigma_V):@.";
-  List.iter (fun c -> Fmt.pr "  %a@." C.pp c) sigma_v;
-
-  (* Step: ComputeEQ (line 2). *)
-  (match
-     EQ.compute ~body:(Spc.body_attrs view) ~selection:view.Spc.selection
-       ~sigma:sigma_v
-   with
-   | EQ.Bottom -> Fmt.pr "EQ = bottom (empty view)@."
-   | EQ.Classes classes ->
-     Fmt.pr "@.EQ classes:@.";
-     List.iter
-       (fun (cl : EQ.eq_class) ->
-         Fmt.pr "  {%a}%s@."
-           Fmt.(list ~sep:(any ", ") string)
-           cl.EQ.attrs
-           (match cl.EQ.key with
-            | Some v -> " = " ^ Value.to_string v
-            | None -> ""))
-       classes);
-
-  (* The full algorithm. *)
-  let r = PC.cover view [ psi1; psi2 ] in
-  Fmt.pr "@.minimal propagation cover:@.";
+  (* The full algorithm, recording why-provenance: each cover CFD's
+     derivation shows the pipeline's own steps — line 1's normalisation,
+     the renaming of lines 5-10, RBR's resolvents and ComputeEQ's
+     classes — down to the source CFDs. *)
+  let provenance = Propagation.Provenance.create () in
+  let r = PC.cover ~provenance view [ psi1; psi2 ] in
+  Fmt.pr "minimal propagation cover:@.";
   List.iter (fun c -> Fmt.pr "  %a@." C.pp c) r.PC.cover;
+  Fmt.pr "@.derivations:@.";
+  List.iter
+    (fun c ->
+      Fmt.pr "@.";
+      Propagation.Provenance.pp_tree provenance Format.std_formatter c)
+    r.PC.cover;
   Fmt.pr
     "@.note: the paper lists phi = V([A1, A2='c', B1='b'] -> B).  Under@.\
      Definition 2.1's pair-(t,t) semantics, psi1's wildcard A1 is redundant,@.\

@@ -84,6 +84,19 @@ let rename_attrs c map =
 
 let with_rel c r = { c with rel = r }
 
+let check r c =
+  let name = Schema.relation_name r in
+  if not (String.equal c.rel name) then
+    Error (Printf.sprintf "CFD is over %s, not %s" c.rel name)
+  else
+    match
+      List.find_opt
+        (fun a -> not (Schema.mem_attr r a))
+        (List.map fst c.lhs @ [ fst c.rhs ])
+    with
+    | Some a -> Error (Printf.sprintf "%s has no attribute %s" name a)
+    | None -> Ok ()
+
 let satisfies_attr_eq r c =
   match c.lhs, c.rhs with
   | [ (a, _) ], (b, _) ->

@@ -68,6 +68,13 @@ val rename_attrs : t -> (string * string) list -> t option
 (** [with_rel c r] re-homes the CFD on relation [r]. *)
 val with_rel : t -> string -> t
 
+(** [check r c] is [Ok ()] when [c] is a CFD on relation [r] that names
+    only attributes of [r], else an [Error] saying which part is not.
+    Every edge where CFDs enter the program (the parser, the CLI's CFD
+    argument, the serve protocol, the propagation decision procedure)
+    runs this one check. *)
+val check : Schema.relation -> t -> (unit, string) result
+
 (** [satisfies r c] decides [r |= c].  Implements Definition 2.1's
     semantics, including the pair [(t, t)] — so a matching tuple must also
     satisfy the constant binding of the RHS pattern — and the special

@@ -431,7 +431,12 @@ let timed h f =
   end
 
 (* A span is the histogram of its durations, plus — while the timeline
-   records — a B/E event pair carrying the span's [Gc.quick_stat] deltas. *)
+   records — a B/E event pair carrying the span's GC deltas.  The word
+   counts are the calling domain's own: [Gc.minor_words] is exact and does
+   not allocate, and [Gc.counters] is per domain too, whereas
+   [Gc.quick_stat] sums every domain and counts minor words only at minor
+   collections.  Collections are program-wide events, so their counts
+   still come from [Gc.quick_stat]. *)
 let with_span h f =
   if not (Atomic.get trace_flag) then timed h f
   else begin
@@ -440,13 +445,16 @@ let with_span h f =
     let outermost = b.span_depth = 0 in
     b.span_depth <- b.span_depth + 1;
     let g0 = Gc.quick_stat () in
+    let _, _, major0 = Gc.counters () in
+    let minor0 = Gc.minor_words () in
     trace_begin name;
     Fun.protect
       ~finally:(fun () ->
         b.span_depth <- b.span_depth - 1;
+        let minor_w = Gc.minor_words () -. minor0 in
+        let _, _, major1 = Gc.counters () in
+        let major_w = major1 -. major0 in
         let g1 = Gc.quick_stat () in
-        let minor_w = g1.Gc.minor_words -. g0.Gc.minor_words in
-        let major_w = g1.Gc.major_words -. g0.Gc.major_words in
         let minor_c = g1.Gc.minor_collections - g0.Gc.minor_collections in
         let major_c = g1.Gc.major_collections - g0.Gc.major_collections in
         if outermost then begin

@@ -62,10 +62,12 @@ val incr : counter -> unit
 (** [with_span h f] runs [f ()].  While the duration channel is on, it
     records [f]'s wall-clock duration in µs into [h] (exceptions
     included).  While the timeline is on, it also emits a duration event
-    named after [h] whose end carries the phase's [Gc.quick_stat] deltas
-    (minor/major words and collections) as args; the outermost span on
-    each domain also publishes those deltas as [gc.*] counters.  With
-    both channels off, exactly [f ()]. *)
+    named after [h] whose end carries the phase's GC deltas as args:
+    the minor and major words the calling domain allocated
+    ([Gc.minor_words], [Gc.counters]) and the program's minor and major
+    collections ([Gc.quick_stat]).  The outermost span on each domain
+    also publishes those deltas as [gc.*] counters.  With both channels
+    off, exactly [f ()]. *)
 val with_span : histogram -> (unit -> 'a) -> 'a
 
 (** Seconds from [CLOCK_MONOTONIC] (arbitrary origin, never steps back);

@@ -1,167 +1,22 @@
 open Relational
-module C = Cfds.Cfd
 module P = Cfds.Pattern
 
+exception Inconsistent
+
 type eq_class = {
-  attrs : string list;
+  attrs : int list;  (* members, sorted by id *)
   key : Value.t option;
+  contribs : Ir.t list;
 }
 
 type t =
   | Classes of eq_class list
   | Bottom
 
-exception Inconsistent
-
-(* Union-find over attribute names with an optional constant key per
-   root. *)
+(* Union-find over interned attribute ids with an optional constant key
+   and a contributor list per root: three flat arrays indexed by id.  The
+   contributor lists carry {!Ir.t} values for [Provenance.record_ir]. *)
 module Uf = struct
-  type t = {
-    parent : (string, string) Hashtbl.t;
-    keys : (string, Value.t) Hashtbl.t;
-  }
-
-  let create attrs =
-    let parent = Hashtbl.create 32 in
-    List.iter (fun a -> Hashtbl.replace parent a a) attrs;
-    { parent; keys = Hashtbl.create 16 }
-
-  let rec find t a =
-    let p = Hashtbl.find t.parent a in
-    if String.equal p a then a
-    else begin
-      let r = find t p in
-      Hashtbl.replace t.parent a r;
-      r
-    end
-
-  let key t a = Hashtbl.find_opt t.keys (find t a)
-
-  let set_key t a v =
-    let r = find t a in
-    match Hashtbl.find_opt t.keys r with
-    | Some w -> if not (Value.equal v w) then raise Inconsistent else false
-    | None ->
-      Hashtbl.replace t.keys r v;
-      true
-
-  let union t a b =
-    let ra = find t a and rb = find t b in
-    if String.equal ra rb then false
-    else begin
-      let ka = Hashtbl.find_opt t.keys ra and kb = Hashtbl.find_opt t.keys rb in
-      (match ka, kb with
-       | Some x, Some y when not (Value.equal x y) -> raise Inconsistent
-       | _ -> ());
-      Hashtbl.replace t.parent rb ra;
-      (match ka, kb with
-       | None, Some y -> Hashtbl.replace t.keys ra y
-       | _ -> ());
-      true
-    end
-end
-
-let compute ~body ~selection ~sigma =
-  let names = List.map Attribute.name body in
-  let uf = Uf.create names in
-  try
-    (* Seed with the selection condition F (Lemma 4.2). *)
-    List.iter
-      (function
-        | Spc.Sel_eq (a, b) -> ignore (Uf.union uf a b)
-        | Spc.Sel_const (a, v) -> ignore (Uf.set_key uf a v))
-      selection;
-    (* Close under CFDs whose LHS is fully keyed: all tuples then share the
-       same LHS value matching the pattern, so a constant RHS pattern pins
-       the RHS column. *)
-    let fires cfd =
-      (not (C.is_attr_eq cfd))
-      && List.for_all
-           (fun (a, p) ->
-             match Uf.key uf a with
-             | None -> false
-             | Some v -> P.matches v p)
-           cfd.C.lhs
-    in
-    let step () =
-      List.fold_left
-        (fun changed cfd ->
-          if C.is_attr_eq cfd then
-            match cfd.C.lhs, cfd.C.rhs with
-            | [ (a, _) ], (b, _) -> Uf.union uf a b || changed
-            | _ -> changed
-          else
-            match snd cfd.C.rhs with
-            | P.Const v when fires cfd ->
-              Uf.set_key uf (fst cfd.C.rhs) v || changed
-            | P.Const _ | P.Wild | P.Svar -> changed)
-        false sigma
-    in
-    let rec loop () = if step () then loop () in
-    loop ();
-    let groups = Hashtbl.create 16 in
-    List.iter
-      (fun a ->
-        let r = Uf.find uf a in
-        Hashtbl.replace groups r
-          (a :: Option.value ~default:[] (Hashtbl.find_opt groups r)))
-      names;
-    let classes =
-      Hashtbl.fold
-        (fun r members acc ->
-          { attrs = List.sort String.compare members; key = Uf.key uf r }
-          :: acc)
-        groups []
-    in
-    Classes
-      (List.sort (fun a b -> compare a.attrs b.attrs) classes)
-  with Inconsistent -> Bottom
-
-let class_of classes a = List.find_opt (fun c -> List.mem a c.attrs) classes
-
-let representatives classes ~prefer =
-  List.concat_map
-    (fun c ->
-      let rep =
-        match List.find_opt (fun a -> List.mem a prefer) c.attrs with
-        | Some a -> a
-        | None -> List.hd c.attrs
-      in
-      List.map (fun a -> (a, rep)) c.attrs)
-    classes
-
-let to_cfds ~view ~y classes =
-  List.concat_map
-    (fun c ->
-      let members = List.filter (fun a -> List.mem a y) c.attrs in
-      match c.key with
-      | Some v -> List.map (fun a -> C.const_binding view a v) members
-      | None ->
-        let rec pairs = function
-          | [] -> []
-          | a :: rest -> List.map (fun b -> C.attr_eq view a b) rest @ pairs rest
-        in
-        pairs members)
-    classes
-
-(* --- the IR path --------------------------------------------------------- *)
-
-(* Same fixpoint as [compute], but over interned attribute ids: the
-   union-find is three flat arrays indexed by id instead of string-keyed
-   hash tables, and the contributor lists carry {!Ir.t} values for
-   [Provenance.record_ir]. *)
-
-type eq_class_ir = {
-  iattrs : int list;  (* members, sorted by id *)
-  ikey : Value.t option;
-  icontribs : Ir.t list;
-}
-
-type ir_result =
-  | Classes_ir of eq_class_ir list
-  | Bottom_ir
-
-module Ufi = struct
   type t = {
     parent : int array;
     keys : Value.t option array;
@@ -170,7 +25,7 @@ module Ufi = struct
 
   (* Borrow the context-owned scratch instead of allocating per call: the
      arrays come back reset over ids [0 .. n-1] (and may be longer — all
-     indexing below goes through ids < n).  [compute_ir] interns while it
+     indexing below goes through ids < n).  [compute] interns while it
      runs, so it already executes only on the context-owning domain, which
      is exactly the single-writer discipline the borrow requires. *)
   let borrow ctx n =
@@ -225,8 +80,8 @@ module Ufi = struct
     end
 end
 
-let compute_ir ctx ~body ~selection ~sigma =
-  let uf = Ufi.borrow ctx (Cfds.Interner.size (Ir.interner ctx)) in
+let compute ctx ~body ~selection ~sigma =
+  let uf = Uf.borrow ctx (Cfds.Interner.size (Ir.interner ctx)) in
   (* Contributor tracking costs list traffic in the fixpoint loop, so it
      only runs when the run records (classes then report no contributors,
      which nothing else reads).  Each root carries the CFDs whose firings
@@ -240,14 +95,14 @@ let compute_ir ctx ~body ~selection ~sigma =
     List.iter
       (function
         | Spc.Sel_eq (a, b) ->
-          ignore (Ufi.union uf (Ir.intern ctx a) (Ir.intern ctx b))
-        | Spc.Sel_const (a, v) -> ignore (Ufi.set_key uf (Ir.intern ctx a) v))
+          ignore (Uf.union uf (Ir.intern ctx a) (Ir.intern ctx b))
+        | Spc.Sel_const (a, v) -> ignore (Uf.set_key uf (Ir.intern ctx a) v))
       selection;
     let fires ic =
       (not (Ir.is_attr_eq ic))
       && Array.for_all
            (fun (a, p) ->
-             match Ufi.key uf a with
+             match Uf.key uf a with
              | None -> false
              | Some v -> P.matches v p)
            ic.Ir.lhs
@@ -257,8 +112,8 @@ let compute_ir ctx ~body ~selection ~sigma =
         (fun changed ic ->
           if Ir.is_attr_eq ic then begin
             let a = fst ic.Ir.lhs.(0) and b = fst ic.Ir.rhs in
-            if Ufi.union uf a b then begin
-              if track then Ufi.add_contribs uf a [ ic ];
+            if Uf.union uf a b then begin
+              if track then Uf.add_contribs uf a [ ic ];
               true
             end
             else changed
@@ -266,7 +121,7 @@ let compute_ir ctx ~body ~selection ~sigma =
           else
             match snd ic.Ir.rhs with
             | P.Const v when fires ic ->
-              if Ufi.set_key uf (fst ic.Ir.rhs) v then begin
+              if Uf.set_key uf (fst ic.Ir.rhs) v then begin
                 (* Snapshot the LHS classes' contributors at fire time: the
                    keys justifying this firing were established by exactly
                    those CFDs (and the selection), so the snapshot is a
@@ -274,10 +129,10 @@ let compute_ir ctx ~body ~selection ~sigma =
                 if track then begin
                   let deps =
                     Array.fold_left
-                      (fun acc (a, _) -> Ufi.contributors uf a @ acc)
+                      (fun acc (a, _) -> Uf.contributors uf a @ acc)
                       [] ic.Ir.lhs
                   in
-                  Ufi.add_contribs uf (fst ic.Ir.rhs) (ic :: deps)
+                  Uf.add_contribs uf (fst ic.Ir.rhs) (ic :: deps)
                 end;
                 true
               end
@@ -290,7 +145,7 @@ let compute_ir ctx ~body ~selection ~sigma =
     let groups = Hashtbl.create 16 in
     List.iter
       (fun a ->
-        let r = Ufi.find uf a in
+        let r = Uf.find uf a in
         Hashtbl.replace groups r
           (a :: Option.value ~default:[] (Hashtbl.find_opt groups r)))
       body;
@@ -298,38 +153,38 @@ let compute_ir ctx ~body ~selection ~sigma =
       Hashtbl.fold
         (fun r members acc ->
           {
-            iattrs = List.sort Int.compare members;
-            ikey = uf.Ufi.keys.(r);
-            icontribs = List.sort_uniq Ir.compare (Ufi.contributors uf r);
+            attrs = List.sort Int.compare members;
+            key = uf.Uf.keys.(r);
+            contribs = List.sort_uniq Ir.compare (Uf.contributors uf r);
           }
           :: acc)
         groups []
     in
-    Classes_ir (List.sort (fun a b -> compare a.iattrs b.iattrs) classes)
-  with Inconsistent -> Bottom_ir
+    Classes (List.sort (fun a b -> compare a.attrs b.attrs) classes)
+  with Inconsistent -> Bottom
 
-let class_of_ir classes a = List.find_opt (fun c -> List.mem a c.iattrs) classes
+let class_of classes a = List.find_opt (fun c -> List.mem a c.attrs) classes
 
-let representatives_ir classes ~prefer =
+let representatives classes ~prefer =
   List.concat_map
     (fun c ->
       let rep =
-        match List.find_opt prefer c.iattrs with
+        match List.find_opt prefer c.attrs with
         | Some a -> a
-        | None -> List.hd c.iattrs
+        | None -> List.hd c.attrs
       in
-      List.map (fun a -> (a, rep)) c.iattrs)
+      List.map (fun a -> (a, rep)) c.attrs)
     classes
 
-let to_cfds_ir ctx ~view ~y classes =
+let to_cfds ctx ~view ~y classes =
   List.concat_map
     (fun c ->
-      let members = List.filter y c.iattrs in
+      let members = List.filter y c.attrs in
       let emit ic =
-        Provenance.record_ir ctx ic Provenance.Eq_class c.icontribs;
+        Provenance.record_ir ctx ic Provenance.Eq_class c.contribs;
         ic
       in
-      match c.ikey with
+      match c.key with
       | Some v -> List.map (fun a -> emit (Ir.const_binding view a v)) members
       | None ->
         let rec pairs = function
@@ -339,15 +194,3 @@ let to_cfds_ir ctx ~view ~y classes =
         in
         pairs members)
     classes
-
-let pp ppf = function
-  | Bottom -> Fmt.string ppf "bottom"
-  | Classes cs ->
-    let pp_class ppf c =
-      Fmt.pf ppf "{%a}%a"
-        Fmt.(list ~sep:(any ", ") string)
-        c.attrs
-        Fmt.(option (any "=" ++ Value.pp))
-        c.key
-    in
-    Fmt.(list ~sep:(any "; ") pp_class) ppf cs

@@ -43,7 +43,7 @@ type ctx = {
   stamp : int;
   recorder : arena option;
   (* ComputeEQ's union-find scratch, keyed by interner id and owned by the
-     context so repeated [compute_ir] calls reuse one set of buffers.
+     context so repeated [Compute_eq.compute] calls reuse one set of buffers.
      Single-writer like [intern]: only the ctx-owning domain may borrow it
      (ComputeEQ interns while it runs, so this already holds). *)
   mutable uf_parent : int array;

@@ -6,108 +6,17 @@ let c_removed = Obs.counter "mincover.cfds_removed"
 let c_lhs_removed = Obs.counter "mincover.lhs_attrs_removed"
 let s_cover = Obs.histogram "mincover.minimal_cover"
 
-let reduce_lhs compiled phi =
-  if C.is_attr_eq phi then phi
-  else
-    let rec go phi tried =
-      let candidates =
-        List.filter (fun (a, _) -> not (List.mem a tried)) phi.C.lhs
-      in
-      match candidates with
-      | [] -> phi
-      | (a, _) :: _ ->
-        let smaller =
-          C.make phi.C.rel
-            (List.filter (fun (c, _) -> not (String.equal c a)) phi.C.lhs)
-            phi.C.rhs
-        in
-        Obs.incr c_tested;
-        if Fast_impl.implies compiled smaller then begin
-          Obs.incr c_lhs_removed;
-          go smaller tried
-        end
-        else go phi (a :: tried)
-    in
-    go phi []
-
-let minimal_cover schema sigma =
-  Obs.with_span s_cover @@ fun () ->
-  (* CFDs are interpreted over [schema], whatever relation name they carry
-     (RBR's pseudo body relation re-homes them). *)
-  let rel = Schema.relation_name schema in
-  let sigma =
-    List.map (fun c -> C.strip_redundant_wildcards (C.with_rel c rel)) sigma
-  in
-  let sigma = List.filter (fun c -> not (C.is_trivial c)) sigma in
-  let sigma = List.sort_uniq C.compare (List.map C.canonical sigma) in
-  (* Minimise each LHS against the full current set: a smaller-LHS CFD is
-     stronger, so replacements preserve equivalence — and therefore testing
-     against the original (equivalent) set stays correct, which lets us
-     compile it once. *)
-  let compiled = Fast_impl.compile schema sigma in
-  let sigma = List.map (reduce_lhs compiled) sigma in
-  let sigma = List.sort_uniq C.compare sigma in
-  (* Drop CFDs implied by the others.  One compile of the reduced set (rule
-     i ↔ element i), then leave-one-out via the rule mask: clearing a bit is
-     equivalent to recompiling Σ ∖ {φ} — rules already found redundant stay
-     cleared, exactly like the old [kept @ rest] recompile. *)
-  let arr = Array.of_list sigma in
-  let compiled = Fast_impl.compile schema sigma in
-  let mask = Fast_impl.full_mask compiled in
-  let redundant = Array.make (Array.length arr) false in
-  Array.iteri
-    (fun i phi ->
-      Fast_impl.mask_clear mask i;
-      Obs.incr c_tested;
-      if Fast_impl.implies ~mask compiled phi then begin
-        Obs.incr c_removed;
-        redundant.(i) <- true
-      end
-      else Fast_impl.mask_set mask i)
-    arr;
-  List.filteri (fun i _ -> not redundant.(i)) sigma
-
-let minimal_cover_db db sigma =
-  let groups = Hashtbl.create 8 in
-  List.iter
-    (fun c ->
-      let g = Option.value ~default:[] (Hashtbl.find_opt groups c.C.rel) in
-      Hashtbl.replace groups c.C.rel (c :: g))
-    sigma;
-  Schema.relations db
-  |> List.concat_map (fun rel ->
-         match Hashtbl.find_opt groups (Schema.relation_name rel) with
-         | Some g -> minimal_cover rel (List.rev g)
-         | None -> [])
-
-let split_chunks ~chunk sigma =
-  let rec split acc current n = function
-    | [] -> List.rev (if current = [] then acc else List.rev current :: acc)
-    | c :: rest ->
-      if n = chunk then split (List.rev current :: acc) [ c ] 1 rest
-      else split acc (c :: current) (n + 1) rest
-  in
-  split [] [] 0 sigma
-
-let prune_partitioned ?pool schema ~chunk sigma =
-  if chunk <= 0 then invalid_arg "Mincover.prune_partitioned: chunk <= 0";
-  let chunks = split_chunks ~chunk sigma in
-  (* Chunks are independent; [Parallel.Pool.map] preserves their order, so
-     the output is identical to the sequential run. *)
-  List.concat (Parallel.Pool.map ?pool (minimal_cover schema) chunks)
-
-(* --- the IR path --------------------------------------------------------- *)
-
-(* Same three steps as [minimal_cover], but over interned CFDs and with
-   {e one} [Fast_impl.compile_ir] per call: the LHS-reduction loop patches
-   accepted shrinks into the compiled rule set in place ([set_rule_ir] —
-   each replacement is equivalence-preserving, so later candidates testing
-   against the partially-updated set stay correct), and the leave-one-out
-   loop then reuses the same rules through the mask.  No relation
-   re-homing: the interior pipeline keeps one uniform relation per call
-   site.  Runs on pool workers during the partitioned prune — it never
-   interns (all ids pre-exist in [space]), so the context is read-only
-   here. *)
+(* MinCover in three steps over interned CFDs, with {e one}
+   [Fast_impl.compile_ir] per call: normalise (strip redundant wildcards,
+   drop trivial CFDs, dedupe); reduce each LHS, patching accepted shrinks
+   into the compiled rule set in place ([set_rule_ir] — each replacement is
+   equivalence-preserving, so later candidates testing against the
+   partially-updated set stay correct); then drop every CFD the others
+   imply, reusing the same rules through a leave-one-out mask.  No
+   relation re-homing: the interior pipeline keeps one uniform relation
+   per call site.  Runs on pool workers during the partitioned prune — it
+   never interns (all ids pre-exist in [space]), so the context is
+   read-only here. *)
 
 let reduce_lhs_ir ctx space compiled rules i iphi =
   if Ir.is_attr_eq iphi then iphi
@@ -193,6 +102,21 @@ let minimal_cover_ir ctx space isigma =
   Array.iteri (fun i phi -> if not redundant.(i) then out := phi :: !out) arr;
   List.sort_uniq Ir.compare !out
 
+(* The AST entry point.  The schema's names are interned in
+   [String.compare] order, so every id-order tie-break above follows the
+   names, as [Cfds.Cfd.compare] does, not the declaration order. *)
+let minimal_cover schema sigma =
+  let ctx = Ir.create_ctx () in
+  List.iter
+    (fun a -> ignore (Ir.intern ctx a))
+    (List.sort String.compare (Schema.attribute_names schema));
+  let rel = Schema.relation_name schema in
+  minimal_cover_ir ctx
+    (Ir.space_of_schema ctx schema)
+    (List.map (fun c -> Ir.of_ast ctx (C.with_rel c rel)) sigma)
+  |> List.map (Ir.to_ast ctx)
+  |> List.sort C.compare
+
 (* The Σ_R half of a slice key, digested at the IR level through
    [Ir.name] (no [ir.to_ast] edge): the serialisation matches
    [Memo.digest_cfds] over the canonical ASTs byte for byte, so the
@@ -253,6 +177,15 @@ let minimal_cover_db_ir ?memo ctx db isigma =
          match Hashtbl.find_opt groups (Schema.relation_name rel) with
          | Some g -> cover_group rel (List.rev g)
          | None -> [])
+
+let split_chunks ~chunk sigma =
+  let rec split acc current n = function
+    | [] -> List.rev (if current = [] then acc else List.rev current :: acc)
+    | c :: rest ->
+      if n = chunk then split (List.rev current :: acc) [ c ] 1 rest
+      else split acc (c :: current) (n + 1) rest
+  in
+  split [] [] 0 sigma
 
 let prune_partitioned_ir ?pool ctx space ~chunk isigma =
   if chunk <= 0 then invalid_arg "Mincover.prune_partitioned_ir: chunk <= 0";

@@ -11,43 +11,31 @@
 
 open Relational
 
-(** [minimal_cover schema sigma] computes a minimal cover of [sigma]:
+(** [minimal_cover_ir ctx space isigma] computes a minimal cover of
+    [isigma], whose CFDs must mention only attributes of [space]:
 
     - trivial CFDs are removed (Section 4.1's nontriviality test);
     - for each CFD [(X → A, tp)], LHS attributes [C] with
       [Σ |= (X∖C → A, (tp\[X∖C\] ‖ tp\[A\]))] are removed;
     - CFDs implied by the rest are removed.
 
-    All CFDs must be over [schema] (same relation). *)
-val minimal_cover : Schema.relation -> Cfds.Cfd.t list -> Cfds.Cfd.t list
-
-(** [minimal_cover_db db sigma] groups [sigma] by relation and covers each
-    group independently (CFDs on different relations never interact). *)
-val minimal_cover_db : Schema.db -> Cfds.Cfd.t list -> Cfds.Cfd.t list
-
-(** [prune_partitioned schema ~chunk sigma] is the optimisation of
-    Section 4.3: partition [sigma] into chunks of size [chunk] and minimise
-    each chunk independently — removes redundancy "to an extent" in
-    [O(|Σ|·chunk²)] time instead of [O(|Σ|³)].  Chunks are independent, so
-    [pool] distributes them over a domain pool; the result is identical to
-    the sequential run (order-preserving map). *)
-val prune_partitioned :
-  ?pool:Parallel.Pool.t ->
-  Schema.relation ->
-  chunk:int ->
-  Cfds.Cfd.t list ->
-  Cfds.Cfd.t list
-
-(** [minimal_cover_ir ctx space isigma] — {!minimal_cover} over interned
-    CFDs, with one [Fast_impl.compile_ir] per call: accepted LHS reductions
-    are patched into the compiled rules in place and the leave-one-out loop
-    reuses them through the mask.  Unlike {!minimal_cover} there is no
-    relation re-homing (the pipeline interior keeps one uniform relation
-    per site).  Never interns, so it is safe on pool workers with a
-    prebuilt [space].  Its normalisation and LHS-reduction steps (with
-    the chase's fired-rule witness) are recorded into [ctx]'s provenance
-    recorder, if it has one; the AST functions above record nothing. *)
+    One [Fast_impl.compile_ir] per call: accepted LHS reductions are
+    patched into the compiled rules in place and the leave-one-out loop
+    reuses them through the mask.  Candidates are tried in id order, so
+    the result depends on [ctx]'s id assignment.  There is no relation
+    re-homing (the pipeline interior keeps one uniform relation per
+    site).  Never interns, so it is safe on pool workers with a prebuilt
+    [space].  Its normalisation and LHS-reduction steps (with the
+    chase's fired-rule witness) are recorded into [ctx]'s provenance
+    recorder, if it has one. *)
 val minimal_cover_ir : Ir.ctx -> Ir.space -> Ir.t list -> Ir.t list
+
+(** [minimal_cover schema sigma] is {!minimal_cover_ir} on the AST:
+    every CFD of [sigma] is read as a CFD on [schema], whatever relation
+    it names, and [schema]'s attribute names are interned in name order,
+    so the cover does not depend on their declaration order.  The result
+    is sorted by {!Cfds.Cfd.compare}.  It records nothing. *)
+val minimal_cover : Schema.relation -> Cfds.Cfd.t list -> Cfds.Cfd.t list
 
 (** [slice_key ~ns rel sigma_r] is the memo key {!minimal_cover_db_ir}
     files relation [rel]'s slice under when its per-relation input is
@@ -70,8 +58,12 @@ val minimal_cover_db_ir :
   Ir.t list ->
   Ir.t list
 
-(** [prune_partitioned_ir ctx space ~chunk isigma] — {!prune_partitioned}
-    on the IR path. *)
+(** [prune_partitioned_ir ctx space ~chunk isigma] is the optimisation of
+    Section 4.3 that RBR runs: partition [isigma] into chunks of size
+    [chunk] and minimise each chunk independently — removes redundancy
+    "to an extent" in [O(|Σ|·chunk²)] time instead of [O(|Σ|³)].  Chunks
+    are independent, so [pool] distributes them over a domain pool; the
+    result is identical to the sequential run (order-preserving map). *)
 val prune_partitioned_ir :
   ?pool:Parallel.Pool.t ->
   Ir.ctx ->

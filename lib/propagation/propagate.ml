@@ -327,13 +327,10 @@ let single_check gen phi v =
 
 let validate view phi =
   let schema = Spcu.view_schema view in
-  if not (String.equal phi.C.rel view.Spcu.name) then
-    invalid_arg
-      (Printf.sprintf "Propagate: CFD on %s but the view is %s" phi.C.rel
-         view.Spcu.name);
+  (match C.check schema phi with
+   | Ok () -> ()
+   | Error m -> invalid_arg ("Propagate: " ^ m));
   let check_entry (a, p) =
-    if not (Schema.mem_attr schema a) then
-      invalid_arg (Printf.sprintf "Propagate: CFD attribute %s not in the view" a);
     match p with
     | P.Const v ->
       if not (Domain.mem v (Attribute.domain (Schema.attr schema a))) then

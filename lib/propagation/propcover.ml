@@ -42,25 +42,6 @@ type result = {
   always_empty : bool;
 }
 
-(* Lines 5-6 at the AST level — exposed for tests and the walkthrough
-   example; the pipeline runs [rename_sources_ir] below. *)
-let rename_sources (v : Spc.t) sigma =
-  List.concat_map
-    (fun (a : Spc.atom) ->
-      let base = Schema.find v.Spc.source a.Spc.base in
-      let map =
-        List.map2
-          (fun orig renamed -> (Attribute.name orig, Attribute.name renamed))
-          (Schema.attributes base) a.Spc.attrs
-      in
-      sigma
-      |> List.filter (fun c -> String.equal c.C.rel a.Spc.base)
-      |> List.filter_map (fun c ->
-             Option.map
-               (fun c' -> C.with_rel c' v.Spc.name)
-               (C.rename_attrs c map)))
-    v.Spc.atoms
-
 (* Lines 5-6: push the source CFDs through the renaming ρ_j of each view
    atom, onto the interned body-attribute namespace. *)
 let rename_sources_ir ctx (v : Spc.t) isigma =
@@ -260,12 +241,12 @@ let compute_cover ?provenance options (v : Spc.t) sigma =
   let body_ids = List.map (fun a -> Ir.intern ctx (Attribute.name a)) body in
   match
     Obs.with_span s_compute_eq (fun () ->
-        Compute_eq.compute_ir ctx ~body:body_ids ~selection:v.Spc.selection
+        Compute_eq.compute ctx ~body:body_ids ~selection:v.Spc.selection
           ~sigma:sigma_v)
   with
-  | Compute_eq.Bottom_ir ->
+  | Compute_eq.Bottom ->
     { cover = empty_view_cover v; complete = true; always_empty = true }
-  | Compute_eq.Classes_ir classes ->
+  | Compute_eq.Classes classes ->
     let y_ids = List.map (Ir.intern ctx) y in
     let in_y id = List.mem id y_ids in
     (* Lines 7-10: representative substitution; keep Y members as reps. *)
@@ -277,7 +258,7 @@ let compute_cover ?provenance options (v : Spc.t) sigma =
         let reps = Array.init (Cfds.Interner.size (Ir.interner ctx)) Fun.id in
         List.iter
           (fun (a, r) -> reps.(a) <- r)
-          (List.rev (Compute_eq.representatives_ir classes ~prefer:in_y));
+          (List.rev (Compute_eq.representatives classes ~prefer:in_y));
         let rep_of a = reps.(a) in
         (* The substitution is justified by the classes that merged each
            renamed attribute with its representative — their contributors are
@@ -294,8 +275,8 @@ let compute_cover ?provenance options (v : Spc.t) sigma =
                     Ir.attrs ic
                     |> List.filter (fun a -> rep_of a <> a)
                     |> List.concat_map (fun a ->
-                           match Compute_eq.class_of_ir classes a with
-                           | Some cl -> cl.Compute_eq.icontribs
+                           match Compute_eq.class_of classes a with
+                           | Some cl -> cl.Compute_eq.contribs
                            | None -> [])
                   in
                   Provenance.record_ir ctx ic' (Provenance.Renamed "representative")
@@ -308,16 +289,16 @@ let compute_cover ?provenance options (v : Spc.t) sigma =
            that are not projected (Lemma 4.3 / domain constraints as CFDs). *)
         let key_cfds =
           List.filter_map
-            (fun (cl : Compute_eq.eq_class_ir) ->
-              match cl.Compute_eq.ikey with
+            (fun (cl : Compute_eq.eq_class) ->
+              match cl.Compute_eq.key with
               | Some value ->
                 let kc =
                   Ir.make v.Spc.name []
-                    (rep_of (List.hd cl.Compute_eq.iattrs), P.Const value)
+                    (rep_of (List.hd cl.Compute_eq.attrs), P.Const value)
                 in
                 if prov then
                   Provenance.record_ir ctx kc Provenance.Eq_class
-                    cl.Compute_eq.icontribs;
+                    cl.Compute_eq.contribs;
                 Some kc
               | None -> None)
             classes
@@ -343,7 +324,7 @@ let compute_cover ?provenance options (v : Spc.t) sigma =
     (* Line 12: Σd := EQ2CFD(EQ) plus the Rc constants. *)
     let sigma_d =
       Obs.with_span s_eq2cfd (fun () ->
-          Compute_eq.to_cfds_ir ctx ~view:v.Spc.name ~y:in_y classes)
+          Compute_eq.to_cfds ctx ~view:v.Spc.name ~y:in_y classes)
     in
     let rc_cfds =
       List.map

@@ -103,11 +103,6 @@ val is_propagated_via_cover : Spc.t -> Cfds.Cfd.t list -> Cfds.Cfd.t -> bool
     SPCU covers is open. *)
 val cover_spcu : ?options:options -> Spcu.t -> Cfds.Cfd.t list -> result
 
-(** [rename_sources v sigma] is the product-handling step alone (lines 5–6
-    of Fig. 2): every source CFD re-expressed over each matching renamed
-    atom, exposed for tests. *)
-val rename_sources : Spc.t -> Cfds.Cfd.t list -> Cfds.Cfd.t list
-
 (** The always-empty-view cover of Lemma 4.5: two conflicting constant
     CFDs on the first view attribute that admits two values.  Exposed for
     {!Fleet}, which rebuilds it per view instead of renaming a cached

@@ -73,6 +73,7 @@ type snapshot = {
 type t = {
   name : string;
   view : Spc.t;
+  vschema : Schema.relation;  (* the view schema queries are checked on *)
   memo : Memo.t;
   ns : string;
   vdigest : string;  (* Propcover.instance_digest of (options, view) *)
@@ -195,13 +196,21 @@ let with_slot t (snap : snapshot) f =
     (fun () -> f s.slot_compiled)
     ~finally:(fun () -> Mutex.unlock s.slot_lock)
 
+(* A Σ member must be a CFD on some source relation, over its
+   attributes. *)
+let check_source (view : Spc.t) c =
+  if Schema.mem view.Spc.source c.C.rel then
+    C.check (Schema.find view.Spc.source c.C.rel) c
+  else Error (Printf.sprintf "CFD on unknown source relation %s" c.C.rel)
+
 let create ?pool ?(replicas = 1) ~memo ~name ~view ~sigma () =
   match
-    List.find_opt
-      (fun c -> not (Schema.mem view.Spc.source c.C.rel))
+    List.find_map
+      (fun c ->
+        match check_source view c with Ok () -> None | Error m -> Some m)
       sigma
   with
-  | Some c -> Error (Printf.sprintf "CFD on unknown source relation %s" c.C.rel)
+  | Some m -> Error m
   | None ->
     let replicas = max 1 replicas in
     let sigma = normalize_sigma sigma in
@@ -227,6 +236,7 @@ let create ?pool ?(replicas = 1) ~memo ~name ~view ~sigma () =
       {
         name;
         view;
+        vschema = Spc.view_schema view;
         memo;
         ns;
         vdigest;
@@ -269,24 +279,7 @@ let attribution t (snap : snapshot) =
     Atomic.set snap.snap_attribution (Some a);
     a
 
-let validate_query t (phi : C.t) =
-  if not (String.equal phi.C.rel t.view.Spc.name) then
-    Error
-      (Printf.sprintf "CFD is over %s, not view %s" phi.C.rel t.view.Spc.name)
-  else
-    let vschema = Spc.view_schema t.view in
-    let known a =
-      List.exists
-        (fun at -> String.equal (Attribute.name at) a)
-        (Schema.attributes vschema)
-    in
-    (match
-       List.find_opt
-         (fun a -> not (known a))
-         (List.map fst phi.C.lhs @ [ fst phi.C.rhs ])
-     with
-     | Some a -> Error (Printf.sprintf "unknown view attribute %s" a)
-     | None -> Ok ())
+let validate_query t phi = C.check t.vschema phi
 
 let ( let* ) = Result.bind
 
@@ -397,9 +390,9 @@ let apply_delta_locked t dop c =
   ensure_open t @@ fun () ->
   Obs.with_span s_delta @@ fun () ->
   let c = C.canonical c in
-  if not (Schema.mem t.view.Spc.source c.C.rel) then
-    Error (Printf.sprintf "CFD on unknown source relation %s" c.C.rel)
-  else begin
+  match check_source t.view c with
+  | Error _ as e -> e
+  | Ok () ->
     let snap = Atomic.get t.snap in
     (* The Σ after the delta, or [None] when the delta changes nothing. *)
     let next_sigma =
@@ -531,7 +524,6 @@ let apply_delta_locked t dop c =
             }
         end
       end
-  end
 
 (* Per-tier latency: the plan is only known once the delta resolves, so
    time the whole application and file it under the tier it took. *)

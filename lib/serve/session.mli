@@ -111,7 +111,8 @@ val normalize_sigma : Cfds.Cfd.t list -> Cfds.Cfd.t list
     (epoch 0, through the full-result cache) and compiles [replicas]
     (default 1, floored to 1) query engines.  [memo] may be shared with
     other sessions — keys are namespaced by a digest of the schema.
-    Errors on CFDs over unknown source relations. *)
+    Errors on a CFD that is not over a source relation's attributes
+    ({!Cfds.Cfd.check}). *)
 val create :
   ?pool:Parallel.Pool.t ->
   ?replicas:int ->
@@ -165,6 +166,8 @@ val propagates : t -> Cfds.Cfd.t -> (bool * int, string) result
     invalidates it). *)
 val explain : t -> Cfds.Cfd.t -> (explanation, string) result
 
+(** [add_cfd t c] and [remove_cfd t c] apply a Σ-delta.  Both error on
+    a [c] that is not a CFD over a source relation's attributes. *)
 val add_cfd : t -> Cfds.Cfd.t -> (delta_report, string) result
 val remove_cfd : t -> Cfds.Cfd.t -> (delta_report, string) result
 

@@ -277,6 +277,23 @@ let parse_declarations st =
   in
   go ();
   let schema = checked Schema.db (List.rev !schemas) in
+  let cfds = List.rev !cfds and views = List.rev !pending_views in
+  (* Validate CFD attribute references on declared relations and views;
+     a CFD on an undeclared name stays a question for the caller. *)
+  let view_schemas =
+    List.map (fun (v : Spc.t) -> (v.Spc.name, Spc.view_schema v)) views
+  in
+  List.iter
+    (fun (c : C.t) ->
+      let r =
+        match Schema.find schema c.C.rel with
+        | r -> Some r
+        | exception Not_found -> List.assoc_opt c.C.rel view_schemas
+      in
+      match Option.map (fun r -> C.check r c) r with
+      | Some (Error m) -> fail "cfd %a: %s" C.pp c m
+      | Some (Ok ()) | None -> ())
+    cfds;
   (* Validate CIND attribute references. *)
   List.iter
     (fun (c : Cfds.Cind.t) ->
@@ -307,9 +324,9 @@ let parse_declarations st =
   in
   {
     schema;
-    cfds = List.rev !cfds;
+    cfds;
     cinds = List.rev !cinds;
-    views = List.rev !pending_views;
+    views;
     data;
   }
 

@@ -37,9 +37,10 @@ type document = {
 
 (** [parse_document text] parses a whole declaration file.  It never
     raises: bad input, including a declaration that a smart constructor
-    rejects (a duplicate attribute, an empty enum), is an [Error] with a
-    message.  A lexical error anywhere in [text] is reported in
-    preference to an earlier parse error. *)
+    rejects (a duplicate attribute, an empty enum) and a CFD that names an
+    attribute its declared relation or view lacks ({!Cfds.Cfd.check}), is
+    an [Error] with a message.  A lexical error anywhere in [text] is
+    reported in preference to an earlier parse error. *)
 val parse_document : string -> (document, string) result
 
 (** Printers producing parseable text (inverses of the parser). *)

@@ -24,7 +24,8 @@ let checks =
       Test_engine.instrumentation_transparent );
     ("ir.roundtrip_canonical", Test_ir.roundtrip_canonical);
     ("ir.cover_conversion_edges", Test_ir.cover_conversion_edges);
-    ("ir.mincover_ir_agrees", Test_ir.mincover_ir_agrees);
+    ("ir.mincover_ir_minimal", Test_ir.mincover_ir_minimal);
+    ("ir.cover_minimal", Test_ir.cover_minimal);
     ("oracle.oracle_holds", Test_oracle.oracle_holds);
     ("provenance.provenance_sound", Test_provenance.provenance_sound);
     ("provenance.witness_replays", Test_provenance.witness_replays);
@@ -42,7 +43,8 @@ let corpus =
     ("engine.instrumentation_transparent", [ 0; 11; 2_024; 500_500 ]);
     ("ir.roundtrip_canonical", [ 0; 42; 7_919; 123_456; 999_999 ]);
     ("ir.cover_conversion_edges", [ 0; 11; 2_024; 500_500 ]);
-    ("ir.mincover_ir_agrees", [ 0; 13; 31_337; 86_028; 750_000 ]);
+    ("ir.mincover_ir_minimal", [ 1; 5; 12; 13; 19; 86_028 ]);
+    ("ir.cover_minimal", [ 5; 8; 20; 24 ]);
     ("oracle.oracle_holds", [ 0; 3; 17; 404; 6_174; 271_828; 999_999 ]);
     ("provenance.provenance_sound", [ 0; 9; 301; 28_657; 832_040 ]);
     ("provenance.witness_replays", [ 0; 21; 1_729; 65_537; 987_654 ]);

@@ -34,6 +34,29 @@ let test_cfd_validation () =
     Alcotest.fail "malformed svar accepted"
   with Invalid_argument _ -> ()
 
+(* The one check every input edge runs: relation name, then every
+   attribute, against a relation schema — a source relation or a view. *)
+let test_attribute_check () =
+  let result = Alcotest.(result unit string) in
+  let vschema = Spc.view_schema q1 in
+  Alcotest.check result "source CFD" (Ok ()) (C.check r1 f1);
+  Alcotest.check result "view CFD" (Ok ()) (C.check vschema phi1);
+  Alcotest.check result "unknown source LHS attribute"
+    (Error "R1 has no attribute bogus")
+    (C.check r1 (C.fd "R1" [ "bogus" ] "city"));
+  Alcotest.check result "unknown view LHS attribute"
+    (Error "V has no attribute bogus")
+    (C.check vschema (C.fd "V" [ "bogus" ] "street"));
+  Alcotest.check result "unknown view RHS attribute"
+    (Error "V has no attribute bogus")
+    (C.check vschema (C.fd "V" [ "AC" ] "bogus"));
+  Alcotest.check result "other relation" (Error "CFD is over W, not V")
+    (C.check vschema (C.fd "W" [ "AC" ] "city"));
+  Alcotest.check_raises "decide runs the check"
+    (Invalid_argument "Propagate: V has no attribute bogus") (fun () ->
+      ignore
+        (Propagate.decide q1 ~sigma:[ f1 ] (C.fd "V" [ "bogus" ] "street")))
+
 let test_normalize_general () =
   let g =
     {
@@ -167,6 +190,7 @@ let suite =
     ("pattern compatibility", `Quick, test_compatible);
     ("pattern order and meet", `Quick, test_leq_meet);
     ("CFD validation", `Quick, test_cfd_validation);
+    ("attribute check", `Quick, test_attribute_check);
     ("general-form normalisation", `Quick, test_normalize_general);
     ("FD satisfaction on Fig.1", `Quick, test_fd_satisfaction_on_fig1);
     ("pattern scoping", `Quick, test_cfd_satisfaction_pattern_scope);

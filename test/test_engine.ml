@@ -4,7 +4,8 @@
 
    - indexed [Rbr.drop_indexed] vs the all-pairs [Rbr.drop];
    - masked [Fast_impl.implies ~mask] vs recompiling the subset;
-   - pooled [Mincover.prune_partitioned ?pool] vs the sequential run. *)
+   - pooled [Mincover.prune_partitioned_ir ?pool] — the prune RBR runs
+     with [options.pool] — vs the sequential run. *)
 
 open Relational
 module C = Cfds.Cfd
@@ -113,14 +114,18 @@ let test_pool = lazy (Parallel.Pool.create ~size:3 ())
 let pooled_prune_agrees seed =
   let rng, rel, sigma = relation_workload seed in
   let chunk = Workload.Rng.range rng 2 6 in
-  let sequential = P.Mincover.prune_partitioned rel ~chunk sigma in
+  let ctx = P.Ir.create_ctx () in
+  let space = P.Ir.space_of_schema ctx rel in
+  let isigma = List.map (P.Ir.of_ast ctx) sigma in
+  let sequential = P.Mincover.prune_partitioned_ir ctx space ~chunk isigma in
   let pooled =
-    P.Mincover.prune_partitioned ~pool:(Lazy.force test_pool) rel ~chunk sigma
+    P.Mincover.prune_partitioned_ir ~pool:(Lazy.force test_pool) ctx space
+      ~chunk isigma
   in
   (* Order-preserving map: the two runs must agree element-for-element,
      not just as sets. *)
   List.length sequential = List.length pooled
-  && List.for_all2 (fun x y -> C.compare x y = 0) sequential pooled
+  && List.for_all2 P.Ir.equal sequential pooled
 
 let prop_pooled_prune_agrees =
   QCheck2.Test.make ~name:"pooled prune = sequential prune" ~count:seeds

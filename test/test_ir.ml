@@ -8,8 +8,8 @@
      enter the pipeline) and IR→AST exactly once per cover member — the
      interior performs zero conversions (pinned by the [ir.of_ast] /
      [ir.to_ast] counters);
-   - [Mincover.minimal_cover_ir] agrees with the AST [minimal_cover] up
-     to implication equivalence;
+   - [Mincover.minimal_cover_ir] and the covers of [Propcover.cover] are
+     minimal covers, with implication decided by the chase oracle;
    - the RBR engine is built exactly once per reduction even when prune
      rounds rewrite the working set ([rbr.engine_builds] stays at 1). *)
 
@@ -85,13 +85,54 @@ let prop_cover_conversion_edges =
   QCheck2.Test.make ~name:"cover converts only at the edges" ~count:30 gen_seed
     cover_conversion_edges
 
-(* --- (c) minimal_cover_ir ≡ minimal_cover -------------------------------- *)
+(* --- (c) the shipped MinCover is minimal --------------------------------- *)
 
-(* The two paths may pick syntactically different (but equivalent) minimal
-   subsets: candidate order differs (attribute-name order vs interned-id
-   order), and minimality is not matroid-like.  The law is implication
-   equivalence, both against each other and against Σ. *)
-let mincover_ir_agrees seed =
+(* Implication by the chase oracle over the identity view, which shares
+   no code with the [Fast_impl] kernel MinCover runs. *)
+let chase_implies rel sigma phi =
+  match
+    Propagate.decide ~strategy:Propagate.Chase_only
+      (Implication.identity_view rel) ~sigma phi
+  with
+  | Propagate.Propagated -> true
+  | Propagate.Not_propagated _ | Propagate.Budget_exceeded -> false
+
+(* [cover] is a minimal cover of [sigma] over [rel]: equivalent to it, no
+   member implied by the others, and no LHS attribute of a member other
+   than an attribute equality removable. *)
+let is_minimal_cover rel sigma cover =
+  let implies = chase_implies rel in
+  let without i = List.filteri (fun j _ -> j <> i) cover in
+  let drop phi a =
+    C.make phi.C.rel (List.remove_assoc a phi.C.lhs) phi.C.rhs
+  in
+  List.for_all (implies cover) sigma
+  && List.for_all (implies sigma) cover
+  && List.for_all Fun.id
+       (List.mapi (fun i phi -> not (implies (without i) phi)) cover)
+  && List.for_all
+       (fun phi ->
+         C.is_attr_eq phi
+         || List.for_all
+              (fun (a, _) -> not (implies cover (drop phi a)))
+              phi.C.lhs)
+       cover
+
+(* Folding pattern constants into 1..3 makes the CFDs' conditions
+   overlap, which the generator's 1..100000 range almost never does. *)
+let fold_constants sigma =
+  let fold = function
+    | a, Cfds.Pattern.Const (Value.Int n) ->
+      (a, Cfds.Pattern.Const (Value.Int (1 + (n mod 3))))
+    | e -> e
+  in
+  List.map
+    (fun c -> C.make c.C.rel (List.map fold c.C.lhs) (fold c.C.rhs))
+    sigma
+
+(* Property A: [minimal_cover_ir] on one relation; odd seeds fold the
+   constants. *)
+let mincover_ir_minimal seed =
   let rng = Workload.Rng.make seed in
   let schema =
     Workload.Schema_gen.generate rng ~relations:1 ~min_arity:4 ~max_arity:7
@@ -101,19 +142,39 @@ let mincover_ir_agrees seed =
   let sigma =
     Workload.Cfd_gen.generate rng ~schema ~count ~max_lhs:4 ~var_pct:50
   in
-  let ast_cover = Mincover.minimal_cover rel sigma in
+  let sigma = if seed mod 2 = 1 then fold_constants sigma else sigma in
   let ctx = Ir.create_ctx () in
   let isigma = List.map (Ir.of_ast ctx) sigma in
-  let space = Ir.space_of_schema ctx rel in
-  let ir_cover =
-    List.map (Ir.to_ast ctx) (Mincover.minimal_cover_ir ctx space isigma)
+  let cover =
+    Mincover.minimal_cover_ir ctx (Ir.space_of_schema ctx rel) isigma
   in
-  Implication.equivalent rel ir_cover sigma
-  && Implication.equivalent rel ast_cover ir_cover
+  is_minimal_cover rel sigma (List.map (Ir.to_ast ctx) cover)
 
-let prop_mincover_ir_agrees =
-  QCheck2.Test.make ~name:"minimal_cover_ir = minimal_cover (up to ≡)"
-    ~count:60 gen_seed mincover_ir_agrees
+let prop_mincover_ir_minimal =
+  QCheck2.Test.make ~name:"minimal_cover_ir is a minimal cover" ~count:300
+    gen_seed mincover_ir_minimal
+
+(* Property B: a non-empty [Propcover.cover] is a minimal cover of itself
+   over the view schema, for Σ with small-domain constants. *)
+let cover_minimal seed =
+  let rng = Workload.Rng.make seed in
+  let schema =
+    Workload.Schema_gen.generate rng ~relations:2 ~min_arity:4 ~max_arity:6
+  in
+  let count = Workload.Rng.range rng 10 30 in
+  let sigma =
+    fold_constants
+      (Workload.Cfd_gen.generate rng ~schema ~count ~max_lhs:4 ~var_pct:40)
+  in
+  let view = Workload.View_gen.generate rng ~schema ~y:4 ~f:2 ~ec:2 in
+  let r = Propcover.cover view sigma in
+  r.Propcover.always_empty
+  || is_minimal_cover (Spc.view_schema view) r.Propcover.cover
+       r.Propcover.cover
+
+let prop_cover_minimal =
+  QCheck2.Test.make ~name:"cover is a minimal cover" ~count:300 gen_seed
+    cover_minimal
 
 (* --- (d) one engine build per reduction ---------------------------------- *)
 
@@ -176,6 +237,7 @@ let suite =
     [
       prop_roundtrip_canonical;
       prop_cover_conversion_edges;
-      prop_mincover_ir_agrees;
+      prop_mincover_ir_minimal;
+      prop_cover_minimal;
     ]
   @ [ ("engine built once under prune", `Quick, test_engine_built_once) ]

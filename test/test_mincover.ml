@@ -4,6 +4,7 @@ open Relational
 open Fixtures
 module C = Cfds.Cfd
 module P = Cfds.Pattern
+module Ir = Propagation.Ir
 
 let schema = abc_schema ()
 let cover = Mincover.minimal_cover schema
@@ -82,12 +83,22 @@ let test_partitioned_sound () =
   let sigma =
     Workload.Cfd_gen.generate rng ~schema:db ~count:12 ~max_lhs:4 ~var_pct:50
   in
-  let out = Mincover.prune_partitioned small_schema ~chunk:4 sigma in
+  let ctx = Ir.create_ctx () in
+  let out =
+    Mincover.prune_partitioned_ir ctx
+      (Ir.space_of_schema ctx small_schema)
+      ~chunk:4
+      (List.map (Ir.of_ast ctx) sigma)
+  in
   check_bool "partitioned pruning preserves equivalence" true
-    (Implication.equivalent small_schema sigma out)
+    (Implication.equivalent small_schema sigma (List.map (Ir.to_ast ctx) out))
 
 let test_db_level_grouping () =
-  let out = Mincover.minimal_cover_db sources [ f1; f2; f3; f1 ] in
+  let ctx = Ir.create_ctx () in
+  let out =
+    Mincover.minimal_cover_db_ir ctx sources
+      (List.map (Ir.of_ast ctx) [ f1; f2; f3; f1 ])
+  in
   check_int "per-relation grouping" 3 (List.length out)
 
 let suite =

@@ -151,7 +151,8 @@ let test_lifecycle () =
     (Server.handle_line t (open_line ()) |> is_ok)
 
 (* CFD text the parser rejects draws a [bad CFD] error response, not a
-   failed request, and leaves the session serving. *)
+   failed request, and so does a CFD over attributes its relation lacks,
+   from every op that takes one; the session keeps serving. *)
 let test_bad_cfd_text () =
   let t = Server.create () in
   check_bool "open" true (Server.handle_line t (open_line ()) |> is_ok);
@@ -174,6 +175,16 @@ let test_bad_cfd_text () =
   check_str "duplicate LHS attribute"
     "bad CFD: Cfd.make: duplicate LHS attribute zip"
     (error_of "add_cfd" "R1([zip, zip] -> [street])");
+  check_str "add_cfd, unknown attribute" "R1 has no attribute bogus"
+    (error_of "add_cfd" "R1([bogus] -> [city])");
+  check_str "remove_cfd, unknown attribute" "R1 has no attribute bogus"
+    (error_of "remove_cfd" "R1([bogus] -> [city])");
+  check_str "propagates, unknown attribute" "V has no attribute bogus"
+    (error_of "propagates" "V([bogus] -> [street])");
+  check_str "explain, unknown attribute" "V has no attribute bogus"
+    (error_of "explain" "V([AC] -> [bogus])");
+  check_str "CFD over another relation" "CFD is over W, not V"
+    (error_of "propagates" "W([AC] -> [city])");
   check_bool "session still serves" true
     (Server.handle_line t "{\"op\": \"cover\", \"session\": \"s\"}" |> is_ok)
 

@@ -112,7 +112,27 @@ let test_rejected_declarations () =
     "Schema.relation R: duplicate attribute A"
     (parse_message "schema R(A: int, A: int);");
   check_str "empty enum" "Domain.finite: empty domain"
-    (parse_message "schema R(A: enum());")
+    (parse_message "schema R(A: enum());");
+  (* A CFD on a declared relation or view names only its attributes; one
+     on an undeclared name is left to the caller ("UNKNOWN VIEW"). *)
+  let doc =
+    "schema R1(AC: string, city: string, zip: string);\n\
+     view V1 = from [R1(AC, city, zip)] project [AC, city];\n"
+  in
+  check_str "unknown source attribute"
+    "cfd R1([bogus] -> city): R1 has no attribute bogus"
+    (parse_message (doc ^ "cfd R1([bogus] -> [city]);"));
+  check_str "unknown RHS attribute"
+    "cfd R1([AC] -> bogus): R1 has no attribute bogus"
+    (parse_message (doc ^ "cfd R1([AC] -> [bogus]);"));
+  check_str "unknown view attribute"
+    "cfd V1([bogus] -> bogus2): V1 has no attribute bogus"
+    (parse_message (doc ^ "cfd V1([bogus] -> [bogus2]);"));
+  check_str "source attribute the view drops"
+    "cfd V1([zip] -> city): V1 has no attribute zip"
+    (parse_message (doc ^ "cfd V1([zip] -> [city]);"));
+  check_int "CFD on an undeclared relation kept" 1
+    (List.length (parse_ok (doc ^ "cfd W([AC] -> [city]);")).Parser.cfds)
 
 (* Tokens are lexed as the parser asks for them, yet a lexical error
    anywhere in the input still wins over an earlier parse error. *)

@@ -169,11 +169,13 @@ let test_pool_tasks_nested () =
   check_bool "well nested across workers" true (well_nested evs)
 
 (* With only the timeline on, a span still emits its B/E pair with the GC
-   deltas, and records no duration. *)
+   deltas, and records no duration.  The words are its domain's own
+   allocation, counted even when the span triggers no minor collection. *)
 let test_traced_spans_gc_args () =
   with_trace @@ fun () ->
   check_bool "duration channel off" false (Obs.hist_enabled ());
   let h = Obs.histogram "test.traced" in
+  Gc.minor ();
   let r = Obs.with_span h (fun () -> List.init 1000 Fun.id |> List.length) in
   check_int "body result" 1000 r;
   check_bool "no duration recorded" true
@@ -186,30 +188,43 @@ let test_traced_spans_gc_args () =
       evs
   with
   | Some e ->
-    check_bool "gc deltas attached" true
-      (List.mem_assoc "gc_minor_words" e.Obs.ev_args)
+    (match List.assoc_opt "gc_minor_words" e.Obs.ev_args with
+     | Some w ->
+       check_bool "a 1,000-cell list is at least 3,000 words" true
+         (float_of_string w >= 3000.)
+     | None -> Alcotest.fail "no gc_minor_words arg")
   | None -> Alcotest.fail "no end event for traced span"
 
 (* A pool worker's raw [pool.task] event does not hide the spans that its
-   task runs: the outermost [with_span] of each task publishes the [gc.*]
-   counters.  [Gc.quick_stat] counts minor words at minor collections, so
-   each task allocates a few minor heaps' worth. *)
+   task runs: the outermost [with_span] of each domain publishes the
+   [gc.*] counters, each with its own domain's words.  The caller's span
+   around the map counts only the caller's words, so the counter matches
+   the tasks' own allocation, however the domains interleave. *)
 let test_pooled_spans_publish_gc () =
   with_trace @@ fun () ->
   Obs.set_enabled true;
   Fun.protect ~finally:(fun () -> Obs.set_enabled false) @@ fun () ->
+  let caller = Obs.histogram "test.pooled.caller" in
   let h = Obs.histogram "test.pooled" in
-  Parallel.Pool.with_pool ~size:2 (fun pool ->
-      ignore
-        (Parallel.Pool.map ~pool
-           (fun i ->
-             Obs.with_span h (fun () -> List.length (List.init (300_000 + i) Fun.id)))
-           [ 1; 2; 3; 4 ]));
+  let own =
+    Parallel.Pool.with_pool ~size:2 (fun pool ->
+        Obs.with_span caller (fun () ->
+            Parallel.Pool.map ~pool
+              (fun i ->
+                Obs.with_span h (fun () ->
+                    let w0 = Gc.minor_words () in
+                    ignore (List.length (List.init (200_000 + i) Fun.id));
+                    Gc.minor_words () -. w0))
+              [ 1; 2; 3; 4 ]))
+  in
+  let own = List.fold_left ( +. ) 0. own in
   let words =
     Option.value ~default:0
       (List.assoc_opt "gc.minor_words" (Obs.snapshot ()).Obs.counters)
+    |> float_of_int
   in
-  check_bool "pooled spans publish gc.minor_words" true (words > 0)
+  if Float.abs (words -. own) > 0.05 *. own then
+    Alcotest.failf "gc.minor_words %.0f, the tasks' own words %.0f" words own
 
 let suite =
   [
