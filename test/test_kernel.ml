@@ -72,20 +72,28 @@ let queries sigma =
 (* Every query shape of [sigma] through the IR front-end against the
    chase on [sigma], then each leave-one-out mask the MinCover loops use
    against the chase on Σ minus that rule.  Every kernel answer is also
-   asked with [~fired], which turns the goal stop off.  [also phi
-   expected] adds checks on the unmasked queries. *)
-let ir_matches_chase ?(also = fun _ _ -> true) view ctx space icompiled sigma =
+   asked with [~fired], which turns the goal stop off; with [~witness],
+   the rules an implied query fired must imply it on their own, by the
+   chase.  [also phi expected] adds checks on the unmasked queries. *)
+let ir_matches_chase ?(also = fun _ _ -> true) ?(witness = false) view ctx
+    space icompiled sigma =
   let qs = queries sigma in
   let iqs = List.map (Ir.of_ast ctx) qs in
-  let fired () = Bytes.make (List.length sigma) '\000' in
+  let fired_ok ?mask phi iphi expected =
+    let fired = Bytes.make (List.length sigma) '\000' in
+    P.Fast_impl.implies_ir ?mask ~fired space icompiled iphi = expected
+    && (not (witness && expected)
+       || chase_implies view
+            (List.filteri (fun j _ -> Bytes.get fired j <> '\000') sigma)
+            phi)
+  in
   let plain_ok =
     List.for_all2
       (fun phi iphi ->
         let expected = chase_implies view sigma phi in
         also phi expected
         && P.Fast_impl.implies_ir space icompiled iphi = expected
-        && P.Fast_impl.implies_ir ~fired:(fired ()) space icompiled iphi
-           = expected)
+        && fired_ok phi iphi expected)
       qs iqs
   in
   let mask = P.Fast_impl.full_mask icompiled in
@@ -99,9 +107,7 @@ let ir_matches_chase ?(also = fun _ _ -> true) view ctx space icompiled sigma =
           let expected = chase_implies view rest phi in
           if
             P.Fast_impl.implies_ir ~mask space icompiled iphi <> expected
-            || P.Fast_impl.implies_ir ~mask ~fired:(fired ()) space icompiled
-                 iphi
-               <> expected
+            || not (fired_ok ~mask phi iphi expected)
           then masked_ok := false)
         qs iqs;
       P.Fast_impl.mask_set mask i)
@@ -109,17 +115,20 @@ let ir_matches_chase ?(also = fun _ _ -> true) view ctx space icompiled sigma =
   plain_ok && !masked_ok
 
 (* One workload, every query shape, through the AST front-end too. *)
-let kernel_matches_chase ~min_arity ~max_arity seed =
-  let rel, sigma = relation_workload ~min_arity ~max_arity ~max_lhs:4 seed in
+let sigma_matches_chase ?witness rel sigma =
   let compiled = P.Fast_impl.compile rel sigma in
   let ctx = Ir.create_ctx () in
   let space = Ir.space_of_schema ctx rel in
   let icompiled = P.Fast_impl.compile_ir space (List.map (Ir.of_ast ctx) sigma) in
   let fired () = Bytes.make (List.length sigma) '\000' in
-  ir_matches_chase (P.Implication.identity_view rel) ctx space icompiled sigma
-    ~also:(fun phi expected ->
+  ir_matches_chase ?witness (P.Implication.identity_view rel) ctx space
+    icompiled sigma ~also:(fun phi expected ->
       P.Fast_impl.implies compiled phi = expected
       && P.Fast_impl.implies ~fired:(fired ()) compiled phi = expected)
+
+let kernel_matches_chase ~min_arity ~max_arity seed =
+  let rel, sigma = relation_workload ~min_arity ~max_arity ~max_lhs:4 seed in
+  sigma_matches_chase rel sigma
 
 let prop_narrow_matches_chase =
   QCheck2.Test.make ~name:"kernel = chase (narrow schemas)" ~count:60
@@ -131,6 +140,74 @@ let prop_wide_matches_chase =
   QCheck2.Test.make ~name:"kernel = chase (wide schemas, arity > 63)"
     ~count:10 gen_seed
     (kernel_matches_chase ~min_arity:64 ~max_arity:80)
+
+(* The generator draws pattern constants from 1..100000, so a constant
+   premise almost never comes true and the properties above mostly chase
+   wildcard rules.  Here every constant is folded into 1..k, k from 2 to
+   4: constant premises come true late in a chase, binds chain through
+   several rules and some Σ conflict.  Half the seeds also add one
+   attr-eq rule, which unions two classes, constants and all.  Every
+   witness of an implied query is checked to imply it alone. *)
+let fold_constant k = function
+  | Cfds.Pattern.Const (Value.Int v) -> Cfds.Pattern.Const (Value.int (1 + (v mod k)))
+  | p -> p
+
+let small_constants_match_chase seed =
+  let rel, sigma = relation_workload ~min_arity:4 ~max_arity:7 ~max_lhs:4 seed in
+  let rng = Workload.Rng.make (seed lxor 0x5eed) in
+  let k = Workload.Rng.range rng 2 4 in
+  let sigma =
+    List.map
+      (fun c ->
+        C.make c.C.rel
+          (List.map (fun (a, p) -> (a, fold_constant k p)) c.C.lhs)
+          (fst c.C.rhs, fold_constant k (snd c.C.rhs)))
+      sigma
+  in
+  let sigma =
+    match Workload.Rng.sample rng 2 (Schema.attribute_names rel) with
+    | [ a; b ] when Workload.Rng.bool rng ->
+      sigma @ [ C.attr_eq (Schema.relation_name rel) a b ]
+    | _ -> sigma
+  in
+  sigma_matches_chase ~witness:true rel sigma
+
+let prop_small_constants_match_chase =
+  QCheck2.Test.make ~name:"kernel = chase (constants in 1..k, attr-eq rules)"
+    ~count:60 gen_seed small_constants_match_chase
+
+(* Two hand-made shapes the folded workloads hit only by chance.  A
+   constant-RHS rule reads only its constant entries (its (t, t)
+   instance), so it fires although the pair never agrees on C; a
+   wildcard-RHS rule needs the pair to agree on every LHS attribute. *)
+let test_constant_rule_ignores_wildcards () =
+  let r =
+    Schema.relation "R"
+      (List.map (fun a -> Attribute.make a Domain.int) [ "A"; "B"; "C" ])
+  in
+  let c v = Cfds.Pattern.Const (Value.int v) and w = Cfds.Pattern.Wild in
+  let view = P.Implication.identity_view r in
+  let ctx = Ir.create_ctx () in
+  let space = Ir.space_of_schema ctx r in
+  let check name sigma phi expected =
+    let compiled = P.Fast_impl.compile r sigma in
+    let icompiled = P.Fast_impl.compile_ir space (List.map (Ir.of_ast ctx) sigma) in
+    let fired () = Bytes.make (List.length sigma) '\000' in
+    Fixtures.check_bool (name ^ ": oracle") expected (chase_implies view sigma phi);
+    Fixtures.check_bool name expected (P.Fast_impl.implies compiled phi);
+    Fixtures.check_bool (name ^ ", fired") expected
+      (P.Fast_impl.implies ~fired:(fired ()) compiled phi);
+    Fixtures.check_bool (name ^ ", IR") expected
+      (P.Fast_impl.implies_ir space icompiled (Ir.of_ast ctx phi))
+  in
+  check "R([A=1, C] -> [B=2]) |= R([A=1] -> [B=2])"
+    [ C.make "R" [ ("A", c 1); ("C", w) ] ("B", c 2) ]
+    (C.make "R" [ ("A", c 1) ] ("B", c 2))
+    true;
+  check "R([A, C] -> [B]) does not imply R([A] -> [B])"
+    [ C.make "R" [ ("A", w); ("C", w) ] ("B", w) ]
+    (C.make "R" [ ("A", w) ] ("B", w))
+    false
 
 (* --- (b) constant-keyed wake-up ------------------------------------------- *)
 
@@ -325,10 +402,14 @@ let suite =
     ("zero-allocation steady state", `Quick, test_zero_allocation_steady_state);
     ("zero-allocation masked queries", `Quick, test_zero_allocation_masked);
     ("keyed rule wakes by a union", `Quick, test_wake_by_union);
+    ( "constant rules ignore wildcard entries",
+      `Quick,
+      test_constant_rule_ignores_wildcards );
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [
         prop_narrow_matches_chase;
+        prop_small_constants_match_chase;
         prop_wide_matches_chase;
         prop_patched_rules_match_chase;
       ]
