@@ -411,7 +411,10 @@ let trace_instant ?(args = []) name =
    publishes the deltas as counters (children are included in the parent,
    so only depth 0 counts — no double counting).  Depth counts open
    [with_span] calls only: raw [trace_begin] events, such as a pool
-   worker's [pool.task], do not hide the spans inside them. *)
+   worker's [pool.task], do not hide the spans inside them.  Word counts
+   are per domain, so every domain publishes its own; collections are
+   program-wide, so only the main domain publishes them, or a pooled run
+   would count each collection once per domain with an open span. *)
 let c_gc_minor_words = counter "gc.minor_words"
 let c_gc_major_words = counter "gc.major_words"
 let c_gc_minor_collections = counter "gc.minor_collections"
@@ -436,7 +439,7 @@ let timed h f =
    not allocate, and [Gc.counters] is per domain too, whereas
    [Gc.quick_stat] sums every domain and counts minor words only at minor
    collections.  Collections are program-wide events, so their counts
-   still come from [Gc.quick_stat]. *)
+   still come from [Gc.quick_stat], and the main domain publishes them. *)
 let with_span h f =
   if not (Atomic.get trace_flag) then timed h f
   else begin
@@ -460,8 +463,10 @@ let with_span h f =
         if outermost then begin
           add c_gc_minor_words (int_of_float minor_w);
           add c_gc_major_words (int_of_float major_w);
-          add c_gc_minor_collections minor_c;
-          add c_gc_major_collections major_c
+          if Domain.is_main_domain () then begin
+            add c_gc_minor_collections minor_c;
+            add c_gc_major_collections major_c
+          end
         end;
         trace_end
           ~args:

@@ -66,7 +66,12 @@ val incr : counter -> unit
     the minor and major words the calling domain allocated
     ([Gc.minor_words], [Gc.counters]) and the program's minor and major
     collections ([Gc.quick_stat]).  The outermost span on each domain
-    also publishes those deltas as [gc.*] counters.  With both channels
+    also publishes its word deltas as the [gc.minor_words] and
+    [gc.major_words] counters.  Only the main domain's outermost span
+    publishes [gc.minor_collections] and [gc.major_collections], so each
+    collection counts once however many domains have a span open; a
+    collection that happens while the main domain has no span open is
+    not attributed, even if a worker's span is open.  With both channels
     off, exactly [f ()]. *)
 val with_span : histogram -> (unit -> 'a) -> 'a
 

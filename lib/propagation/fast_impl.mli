@@ -3,10 +3,13 @@
     [MinCover] and the final step of [PropCFD_SPC] decide [Σ |= φ]
     O(|Σ|²) times over a single relation; the generic tableau machinery of
     {!Propagate} is far too heavyweight there.  This kernel runs the same
-    two-row + single-row chase (so it agrees with {!Propagate} on the
-    identity view by construction — the test suite cross-validates this)
-    over int-indexed union-find arrays, with the CFD set compiled to
-    positional form once.
+    pair-tableau chase (so it agrees with {!Propagate} on the identity
+    view by construction — the test suite cross-validates this) over
+    int-indexed union-find arrays, with the CFD set compiled to
+    positional form once.  The pair tableau is symmetric in its two
+    rows, so one row of cells whose classes carry a "the rows agree"
+    flag represents it exactly, and one chase per query decides both the
+    pair and, for a constant RHS, the single-tuple [(t, t)] case.
 
     The chase is {e semi-naive}: rules are indexed by the cell positions
     their premises read, and the fixpoint is driven by a dirty-position
@@ -26,19 +29,22 @@
       pools indexed by offset, not per-rule boxed arrays;
     - {b a per-compiled arena} — union-find, dirty sets, the watcher
       worklist and query scratch are allocated once at compile time and
-      reset in O(cells) per chase, so the steady-state query loop performs
+      reset in O(arity) per query, so the steady-state query loop performs
       {e zero} minor-heap allocation (asserted by [test/test_kernel.ml]);
     - {b a goal stop} — a query's chase stops as soon as the query's RHS
       holds (its cells equal and, for a constant RHS, bound to the
       constant).  The chase state only grows, so the answer is the
       fixpoint's; counted [fast_impl.goal_stops];
+    - {b retirement} — a rule whose premise has held is skipped for the
+      rest of the chase ([fast_impl.retired_skips]): its effect is in the
+      state, which only grows;
     - {b constant-keyed wake-up} — a rule with a constant LHS entry is
-      keyed on the first one and stays dormant in a chase until a cell at
-      the key position is bound to the key constant; the watcher scan
-      skips it until then ([fast_impl.dormant_skips]).  Constants only
-      accumulate and every newly bound position is queued, so the rule is
-      live before its premise can hold.  A witness-collecting chase
-      ([?fired]) treats every rule as live.
+      keyed on the first one and a chase does not scan it until the key
+      position is bound to the key constant; then it is linked into the
+      chase's per-position live lists ([fast_impl.rule_wakes]).
+      Constants only accumulate and every newly bound position is
+      queued, so the rule is live before its premise can hold.  A
+      witness-collecting chase ([?fired]) scans every rule.
 
     Its decisions are checked against the tableau chase of {!Propagate}
     (over the identity view) on random narrow and wide schemas, plain and
@@ -88,9 +94,6 @@ val mask_clear : mask -> int -> unit
 
 (** Re-enable rule [i]. *)
 val mask_set : mask -> int -> unit
-
-(** Is rule [i] enabled? *)
-val mask_mem : mask -> int -> bool
 
 (** [implies ?mask ?fired compiled phi] decides [Σ' |= φ] where [Σ'] is the
     set of mask-enabled rules ([Σ] itself when [mask] is omitted), in the

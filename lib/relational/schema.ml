@@ -1,18 +1,23 @@
+(* Name indexes hash and compare strings directly, not through the
+   polymorphic [Hashtbl] primitives: every attribute lookup of the parser,
+   [Cfd.check] and the compilers goes through them. *)
+module Names = Hashtbl.Make (String)
+
 type relation = {
   rname : string;
   attrs : Attribute.t array;
-  index : (string, int) Hashtbl.t;
+  index : int Names.t;
 }
 
 let relation name attrs =
   if attrs = [] then invalid_arg "Schema.relation: no attributes";
-  let index = Hashtbl.create (List.length attrs) in
+  let index = Names.create (List.length attrs) in
   List.iteri
     (fun i a ->
       let n = Attribute.name a in
-      if Hashtbl.mem index n then
+      if Names.mem index n then
         invalid_arg (Printf.sprintf "Schema.relation %s: duplicate attribute %s" name n);
-      Hashtbl.add index n i)
+      Names.add index n i)
     attrs;
   { rname = name; attrs = Array.of_list attrs; index }
 
@@ -22,12 +27,12 @@ let attribute_names r = Array.to_list (Array.map Attribute.name r.attrs)
 let arity r = Array.length r.attrs
 
 let attr_index r name =
-  match Hashtbl.find_opt r.index name with
+  match Names.find_opt r.index name with
   | Some i -> i
   | None -> raise Not_found
 
 let attr r name = r.attrs.(attr_index r name)
-let mem_attr r name = Hashtbl.mem r.index name
+let mem_attr r name = Names.mem r.index name
 let nth_attr r i = r.attrs.(i)
 let has_finite_attr r = Array.exists Attribute.is_finite r.attrs
 
@@ -43,26 +48,26 @@ let pp_relation ppf r =
 
 type db = {
   rels : relation list;
-  rindex : (string, relation) Hashtbl.t;
+  rindex : relation Names.t;
 }
 
 let db rels =
-  let rindex = Hashtbl.create (List.length rels) in
+  let rindex = Names.create (List.length rels) in
   List.iter
     (fun r ->
-      if Hashtbl.mem rindex r.rname then
+      if Names.mem rindex r.rname then
         invalid_arg (Printf.sprintf "Schema.db: duplicate relation %s" r.rname);
-      Hashtbl.add rindex r.rname r)
+      Names.add rindex r.rname r)
     rels;
   { rels; rindex }
 
 let relations d = d.rels
 
 let find d name =
-  match Hashtbl.find_opt d.rindex name with
+  match Names.find_opt d.rindex name with
   | Some r -> r
   | None -> raise Not_found
 
-let mem d name = Hashtbl.mem d.rindex name
+let mem d name = Names.mem d.rindex name
 let db_has_finite_attr d = List.exists has_finite_attr d.rels
 let pp_db ppf d = Fmt.(list ~sep:(any "@\n") pp_relation) ppf d.rels

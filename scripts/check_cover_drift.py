@@ -19,18 +19,20 @@ observability dump (bench/main.exe --stats-json): it must be
 well-formed JSON with a total counters section in which the pipeline's
 load-bearing counters — rbr.resolvents_generated, fast_impl.chase_rounds,
 the IR conversion edges ir.of_ast / ir.to_ast, and the packed kernel's
-fast_impl.mask_prune_skips / fast_impl.dormant_skips /
-fast_impl.arena_resets / fast_impl.goal_stops — are present and
-nonzero.  A zero on the RBR/chase counters means the instrumented phases
-silently stopped running; a zero on the IR edges means the pipeline
-stopped routing CFDs through the interned representation; a zero on
-mask_prune_skips or arena_resets means the flat-bitset kernel stopped
-pruning or stopped reusing its arena (the PR 5 wide-schema bug was
-exactly a silent mask_prune_skips = 0); a zero on dormant_skips means
-rules with a constant premise stopped waiting for their key constant
-and are scanned in every chase again; a zero on goal_stops means
-implied queries went back to chasing to the fixpoint.  None of these would show up in cover
-sizes alone.
+fast_impl.mask_prune_skips / fast_impl.rule_wakes /
+fast_impl.retired_skips / fast_impl.arena_resets /
+fast_impl.goal_stops — are present and nonzero.  A zero on the
+RBR/chase counters means the instrumented phases silently stopped
+running; a zero on the IR edges means the pipeline stopped routing CFDs
+through the interned representation; a zero on mask_prune_skips or
+arena_resets means the flat-bitset kernel stopped pruning or stopped
+reusing its arena (the PR 5 wide-schema bug was exactly a silent
+mask_prune_skips = 0); a zero on rule_wakes means rules with a constant
+premise are no longer woken by their key constant (they either never
+fire or are scanned in every chase again); a zero on retired_skips
+means rules whose premise has held are re-checked for the rest of the
+chase; a zero on goal_stops means implied queries went back to chasing
+to the fixpoint.  None of these would show up in cover sizes alone.
 
 The same script validates the XL sweep baseline: point rows there carry
 extra "gc" objects (and, at 10k/20k, the "ab" record of the retired
@@ -81,7 +83,8 @@ MANDATORY_COUNTERS = (
     "ir.of_ast",
     "ir.to_ast",
     "fast_impl.mask_prune_skips",
-    "fast_impl.dormant_skips",
+    "fast_impl.rule_wakes",
+    "fast_impl.retired_skips",
     "fast_impl.arena_resets",
     "fast_impl.goal_stops",
 )

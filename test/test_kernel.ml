@@ -302,11 +302,11 @@ let test_wake_by_union () =
   let icompiled = P.Fast_impl.compile_ir space (List.map (Ir.of_ast ctx) sigma) in
   Fixtures.check_bool "IR: woken by the union" true
     (P.Fast_impl.implies_ir space icompiled (Ir.of_ast ctx phi));
-  let dormant =
+  let wakes =
     Option.value ~default:0
-      (List.assoc_opt "fast_impl.dormant_skips" (Obs.snapshot ()).Obs.counters)
+      (List.assoc_opt "fast_impl.rule_wakes" (Obs.snapshot ()).Obs.counters)
   in
-  Fixtures.check_bool "dormant skips counted" true (dormant > 0)
+  Fixtures.check_bool "wakes counted" true (wakes > 0)
 
 (* --- (c) wide schemas keep mask pruning --------------------------------- *)
 

@@ -226,6 +226,35 @@ let test_pooled_spans_publish_gc () =
   if Float.abs (words -. own) > 0.05 *. own then
     Alcotest.failf "gc.minor_words %.0f, the tasks' own words %.0f" words own
 
+(* Collections are program-wide: a pooled run inside a caller span
+   publishes each one once, from the main domain, not once per domain
+   with a span open (which tripled the count on a 2-domain pool). *)
+let test_pooled_collections_counted_once () =
+  with_trace @@ fun () ->
+  Obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.set_enabled false) @@ fun () ->
+  let caller = Obs.histogram "test.pooled.caller" in
+  let h = Obs.histogram "test.pooled" in
+  let expected =
+    Parallel.Pool.with_pool ~size:2 (fun pool ->
+        let c0 = (Gc.quick_stat ()).Gc.minor_collections in
+        Obs.with_span caller (fun () ->
+            ignore
+              (Parallel.Pool.map ~pool
+                 (fun i ->
+                   Obs.with_span h (fun () ->
+                       List.length (List.init (2_000_000 + i) Fun.id)))
+                 [ 1; 2; 3; 4 ]));
+        (Gc.quick_stat ()).Gc.minor_collections - c0)
+  in
+  let published =
+    Option.value ~default:0
+      (List.assoc_opt "gc.minor_collections" (Obs.snapshot ()).Obs.counters)
+  in
+  if expected = 0 || abs (published - expected) * 10 > expected then
+    Alcotest.failf "gc.minor_collections %d, Gc.quick_stat counted %d"
+      published expected
+
 let suite =
   [
     ("basic record + well-nested", `Quick, test_basic_record);
@@ -236,4 +265,7 @@ let suite =
     ("pool tasks nest on worker tracks", `Quick, test_pool_tasks_nested);
     ("traced span attaches GC deltas", `Quick, test_traced_spans_gc_args);
     ("pooled spans publish gc counters", `Quick, test_pooled_spans_publish_gc);
+    ( "pooled collections counted once",
+      `Quick,
+      test_pooled_collections_counted_once );
   ]
