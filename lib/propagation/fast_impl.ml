@@ -846,8 +846,9 @@ let ensure_query_scratch st qlen =
 (* The query LHS sits in [q_pos]/[q_val] (filled by the front-ends): two
    tuples agreeing on the LHS and matching its constants, one chase.  For
    a constant RHS the pair's chase also decides the single-tuple (t, t)
-   case, which used to be chased apart: the bound constants, and any
-   conflict, evolve in it exactly as in the (t, t) chase (DESIGN §6.2). *)
+   case: the bound constants, and any conflict, evolve in it exactly as in
+   a (t, t) chase, so the goal "A bound to the constant" answers both
+   (DESIGN §6.2). *)
 let implies_standard_pos pk mask fired qlen rp rhs_v =
   let st = pk.arena in
   arena_reset st pk.arity;

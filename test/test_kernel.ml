@@ -3,8 +3,10 @@
 
    - [implies]/[implies_ir] ≡ the tableau chase of {!Propagation.Propagate}
      ([Chase_only] over the identity view) on random workloads, over
-     narrow schemas (the fig. 5 profile) and wide ones (arity > 63, where
-     the rule masks span several words);
+     narrow schemas (the fig. 5 profile), wide ones (arity > 63, where
+     the rule masks span several words) and ones whose constants are
+     folded into 1..k, with attr-eq rules, where every witness of an
+     implied query must imply it alone;
    - leave-one-out masked queries ≡ the chase over Σ with that rule
      removed, rule for rule;
    - both for Σ's own members and for the LHS-reduction queries of
