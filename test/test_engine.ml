@@ -2,7 +2,10 @@
    the optimised kernels must agree exactly with their reference
    implementations on generated workloads.
 
-   - indexed [Rbr.drop_indexed] vs the all-pairs [Rbr.drop];
+   - indexed [Rbr.drop_indexed] vs the all-pairs [Rbr.drop], and
+     [Rbr.reduce] vs iterated [Rbr.drop]s, on generated workloads and on
+     ones whose constants are folded into 1..k with an attr-eq CFD on
+     half the seeds (the generators' constants rarely meet);
    - masked [Fast_impl.implies ~mask] vs recompiling the subset;
    - pooled [Mincover.prune_partitioned_ir ?pool] — the prune RBR runs
      with [options.pool] — vs the sequential run. *)
@@ -39,23 +42,61 @@ let sets_equal a b =
 
 (* --- (a) indexed drop ≡ naive drop ------------------------------------- *)
 
-let drop_indexed_agrees seed =
+(* The generators draw constants from 1..100000, so a constant-RHS
+   producer almost never meets a consumer holding the same constant, nor
+   two LHS constants meet at all.  Folding every constant into 1..k
+   (k from 2 to 4) makes the constant joins, meets and triviality tests
+   of resolution actually happen; an attr-eq CFD rides along on half
+   the seeds, as in [test_kernel]. *)
+let fold_constant k = function
+  | Cfds.Pattern.Const (Value.Int v) ->
+    Cfds.Pattern.Const (Value.int (1 + (v mod k)))
+  | p -> p
+
+let small_constant_workload seed =
   let rng, rel, sigma = relation_workload seed in
+  let frng = Workload.Rng.make (seed lxor 0x5eed) in
+  let k = Workload.Rng.range frng 2 4 in
+  let sigma =
+    List.map
+      (fun c ->
+        C.make c.C.rel
+          (List.map (fun (a, p) -> (a, fold_constant k p)) c.C.lhs)
+          (fst c.C.rhs, fold_constant k (snd c.C.rhs)))
+      sigma
+  in
+  let sigma =
+    match Workload.Rng.sample frng 2 (Schema.attribute_names rel) with
+    | [ a; b ] when Workload.Rng.bool frng ->
+      sigma @ [ C.attr_eq (Schema.relation_name rel) a b ]
+    | _ -> sigma
+  in
+  (rng, rel, sigma)
+
+let drop_indexed_agrees_on (rng, rel, sigma) =
   let attrs = Schema.attribute_names rel in
   let a = List.nth attrs (Workload.Rng.range rng 0 (List.length attrs - 1)) in
   let naive = normalize (P.Rbr.drop sigma a) in
   let indexed = normalize (P.Rbr.drop_indexed sigma a) in
   sets_equal naive indexed
 
+let drop_indexed_agrees seed = drop_indexed_agrees_on (relation_workload seed)
+
+let drop_indexed_agrees_small seed =
+  drop_indexed_agrees_on (small_constant_workload seed)
+
 let prop_drop_indexed_agrees =
   QCheck2.Test.make ~name:"indexed drop = naive drop" ~count:seeds gen_seed
     drop_indexed_agrees
 
+let prop_drop_indexed_agrees_small =
+  QCheck2.Test.make ~name:"indexed drop = naive drop (constants in 1..k)"
+    ~count:(4 * seeds) gen_seed drop_indexed_agrees_small
+
 (* Dropping several attributes in sequence exercises the engine's
    incremental bucket maintenance (via [reduce]) against naive iterated
    drops. *)
-let reduce_agrees_with_iterated_drop seed =
-  let rng, rel, sigma = relation_workload seed in
+let reduce_agrees_with_iterated_drop_on (rng, rel, sigma) =
   let attrs = Schema.attribute_names rel in
   let k = Workload.Rng.range rng 1 (min 3 (List.length attrs - 1)) in
   let drop_attrs = List.filteri (fun i _ -> i < k) attrs in
@@ -71,9 +112,19 @@ let reduce_agrees_with_iterated_drop seed =
   let reduced, flag = P.Rbr.reduce ~order:`Given sigma ~drop_attrs in
   flag = `Complete && sets_equal (normalize naive) (normalize reduced)
 
+let reduce_agrees_with_iterated_drop seed =
+  reduce_agrees_with_iterated_drop_on (relation_workload seed)
+
+let reduce_agrees_with_iterated_drop_small seed =
+  reduce_agrees_with_iterated_drop_on (small_constant_workload seed)
+
 let prop_reduce_agrees_with_iterated_drop =
   QCheck2.Test.make ~name:"reduce = iterated naive drops" ~count:seeds gen_seed
     reduce_agrees_with_iterated_drop
+
+let prop_reduce_agrees_with_iterated_drop_small =
+  QCheck2.Test.make ~name:"reduce = iterated naive drops (constants in 1..k)"
+    ~count:(4 * seeds) gen_seed reduce_agrees_with_iterated_drop_small
 
 (* --- (b) masked implies ≡ recompile ------------------------------------ *)
 
@@ -185,7 +236,9 @@ let suite =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_drop_indexed_agrees;
+      prop_drop_indexed_agrees_small;
       prop_reduce_agrees_with_iterated_drop;
+      prop_reduce_agrees_with_iterated_drop_small;
       prop_masked_implies_agrees;
       prop_pooled_prune_agrees;
       prop_instrumentation_transparent;
