@@ -1,6 +1,7 @@
 module C = Cfds.Cfd
 module P = Cfds.Pattern
 module I = Cfds.Interner
+module Value = Relational.Value
 
 (* The conversion edges are the only places the pipeline is allowed to
    touch the string AST; the drift guard requires both counters in the
@@ -145,23 +146,23 @@ let rec lhs_bs (arr : (int * P.sym) array) a lo hi =
     else if i < a then lhs_bs arr a (mid + 1) hi
     else lhs_bs arr a lo mid
 
-let lhs_pattern_idx ic a = lhs_bs ic.lhs a 0 (Array.length ic.lhs)
+let lhs_index ic a = lhs_bs ic.lhs a 0 (Array.length ic.lhs)
 
 let lhs_pattern ic a =
-  let k = lhs_pattern_idx ic a in
+  let k = lhs_index ic a in
   if k < 0 then None else Some (snd ic.lhs.(k))
 
 let is_trivial ic =
   if is_attr_eq ic then fst ic.lhs.(0) = fst ic.rhs
   else
     let a, eta2 = ic.rhs in
-    let k = lhs_pattern_idx ic a in
+    let k = lhs_index ic a in
     k >= 0
     &&
     let eta1 = snd ic.lhs.(k) in
     P.equal eta1 eta2 || (P.is_const eta1 && P.equal eta2 P.Wild)
 
-let mentions a ic = fst ic.rhs = a || lhs_pattern_idx ic a >= 0
+let mentions a ic = fst ic.rhs = a || lhs_index ic a >= 0
 
 let attrs_iter ic f =
   let r = fst ic.rhs in
@@ -219,67 +220,109 @@ let rename ic rn =
       }
   with Undefined -> None
 
-(* Merge two id-sorted LHS rows, meeting patterns on shared attributes and
-   skipping the eliminated attribute in [z].  Raises [Undefined] on an
-   empty meet. *)
-let merge_lhs w z ~skip =
+(* The resolvent test runs on every producer × consumer pair an RBR
+   elimination step hands it, and most pairs fail, so the test allocates
+   nothing: a first walk over the two id-sorted LHS rows decides whether
+   every shared attribute's meet is defined and whether the merged row
+   would be trivial, and only a row that passes is allocated, once, at its
+   exact length, and filled by a second walk.  Neither row holds [Svar]
+   ([resolvent] rejects the attr-eq shape, the only one that may), so a
+   defined meet is the constant side if there is one, and the merged row
+   shares its entries with [w] and [z].  The walk is a top-level
+   recursion, which closes over nothing. *)
+let meet_defined p q =
+  match p, q with
+  | P.Const x, P.Const y -> Value.equal x y
+  | (P.Const _ | P.Wild), (P.Const _ | P.Wild) -> true
+  | P.Svar, _ | _, P.Svar -> false
+
+(* [is_trivial] of a row whose LHS holds [rhs]'s attribute with [eta1]. *)
+let trivial_at eta1 eta2 =
+  P.equal eta1 eta2 || (P.is_const eta1 && P.equal eta2 P.Wild)
+
+(* The length of the merge of [w] and [z] minus [skip], or -1 when [w]
+   mentions [skip], a meet is undefined, or the entry for [b] makes the
+   row with RHS [(b, eta2)] trivial.  Entries go to [out] unless it is
+   empty. *)
+let rec merge_walk out (w : (int * P.sym) array) z skip b eta2 i j n =
   let nw = Array.length w and nz = Array.length z in
-  let out = Array.make (nw + nz) (0, P.Wild) in
-  let k = ref 0 in
-  let push e =
-    out.(!k) <- e;
-    incr k
-  in
-  let i = ref 0 and j = ref 0 in
-  while !i < nw || !j < nz do
-    if !j < nz && fst z.(!j) = skip then incr j
-    else if !i >= nw then begin
-      push z.(!j);
-      incr j
-    end
-    else if !j >= nz then begin
-      push w.(!i);
-      incr i
-    end
-    else begin
-      let ai, pi = w.(!i) and aj, pj = z.(!j) in
-      if ai < aj then begin
-        push w.(!i);
-        incr i
-      end
-      else if aj < ai then begin
-        push z.(!j);
-        incr j
-      end
+  if j < nz && fst z.(j) = skip then merge_walk out w z skip b eta2 i (j + 1) n
+  else if i < nw && fst w.(i) = skip then -1
+  else if i >= nw && j >= nz then n
+  else
+    let from_w = j >= nz || (i < nw && fst w.(i) < fst z.(j)) in
+    let from_z = (not from_w) && (i >= nw || fst z.(j) < fst w.(i)) in
+    let both = not (from_w || from_z) in
+    if both && not (meet_defined (snd w.(i)) (snd z.(j))) then -1
+    else
+      let e =
+        if from_w || (both && P.is_const (snd w.(i))) then w.(i) else z.(j)
+      in
+      if fst e = b && trivial_at (snd e) eta2 then -1
       else begin
-        (match P.meet pi pj with
-         | Some m -> push (ai, m)
-         | None -> raise Undefined);
-        incr i;
-        incr j
+        if Array.length out > 0 then out.(n) <- e;
+        merge_walk out w z skip b eta2
+          (if from_z then i else i + 1)
+          (if from_w then j else j + 1)
+          (n + 1)
       end
-    end
-  done;
-  Array.sub out 0 !k
+
+let no_entry = (-1, P.Wild)
 
 let resolvent phi1 phi2 ~on:a =
   if is_attr_eq phi1 || is_attr_eq phi2 then None
-  else if fst phi1.rhs <> a then None
+  else if fst phi1.rhs <> a || fst phi2.rhs = a then None
   else
-    match lhs_pattern phi2 a with
-    | None -> None
-    | Some t2_a ->
-      if not (P.leq (snd phi1.rhs) t2_a) then None
-      else if lhs_pattern phi1 a <> None then None
-      else if fst phi2.rhs = a then None
-      else (
-        try
-          let merged = merge_lhs phi1.lhs phi2.lhs ~skip:a in
-          let ic = { rel = phi1.rel; lhs = merged; rhs = phi2.rhs } in
-          if is_trivial ic then None else Some ic
-        with Undefined -> None)
+    let k = lhs_index phi2 a in
+    if k < 0 || not (P.leq (snd phi1.rhs) (snd phi2.lhs.(k))) then None
+    else
+      let b, eta2 = phi2.rhs in
+      let n = merge_walk [||] phi1.lhs phi2.lhs a b eta2 0 0 0 in
+      if n < 0 then None
+      else begin
+        let lhs = Array.make n no_entry in
+        ignore (merge_walk lhs phi1.lhs phi2.lhs a b eta2 0 0 0);
+        Some { rel = phi1.rel; lhs; rhs = phi2.rhs }
+      end
 
-let equal a b = a = b
+let rec lhs_equal (x : (int * P.sym) array) y k =
+  k < 0
+  || (fst x.(k) = fst y.(k)
+     && P.equal (snd x.(k)) (snd y.(k))
+     && lhs_equal x y (k - 1))
+
+let equal a b =
+  a == b
+  || fst a.rhs = fst b.rhs
+     && P.equal (snd a.rhs) (snd b.rhs)
+     && Array.length a.lhs = Array.length b.lhs
+     && lhs_equal a.lhs b.lhs (Array.length a.lhs - 1)
+     && String.equal a.rel b.rel
+
+(* A hash over every LHS entry, the RHS and the relation, consistent with
+   [equal] and allocation-free ([Value.hash] boxes a tuple).  The
+   polymorphic [Hashtbl.hash] stops after ten values, so long rows that
+   share a prefix would collide.  Entries are folded in arithmetically and
+   the result is scrambled once. *)
+let hash_sym = function
+  | P.Wild -> 0x2f1
+  | P.Svar -> 0x3a7
+  | P.Const (Value.Int x) -> x
+  | P.Const (Value.Str s) -> Hashtbl.hash s
+  | P.Const (Value.Bool v) -> if v then 0x1b5 else 0x0d3
+
+let mix h x = (h * 0x100_0193) lxor x
+
+let rec hash_lhs lhs k h =
+  if k >= Array.length lhs then h
+  else
+    let a, p = lhs.(k) in
+    hash_lhs lhs (k + 1) (mix (mix h a) (hash_sym p))
+
+let hash ic =
+  let a, p = ic.rhs in
+  Hashtbl.hash (hash_lhs ic.lhs 0 (mix (mix (Hashtbl.hash ic.rel) a) (hash_sym p)))
+
 let compare = Stdlib.compare
 
 type space = { sp_arity : int; sp_pos : int array }

@@ -108,6 +108,10 @@ val const_binding : string -> int -> Relational.Value.t -> t
 val with_rel : t -> string -> t
 
 val lhs_pattern : t -> int -> Cfds.Pattern.sym option
+
+(** [lhs_index ic a] is the index of [a]'s entry in [ic.lhs], or [-1];
+    allocation-free, unlike {!lhs_pattern}. *)
+val lhs_index : t -> int -> int
 val is_attr_eq : t -> bool
 
 (** The (non)triviality test of Section 4.1 (see {!Cfds.Cfd.is_trivial}). *)
@@ -136,10 +140,19 @@ val drop_lhs : t -> int -> t
 val rename : t -> (int -> int) -> t option
 
 (** [resolvent phi1 phi2 ~on:a] — the A-resolvent (see {!Rbr.resolvent});
-    [None] when undefined, trivial, or still mentioning [a]. *)
+    [None] when undefined, trivial, or still mentioning [a].  Only a
+    resolvent that is returned is allocated: whether the meet is defined
+    and whether the merged row would be trivial are decided in one pass
+    over the two rows first. *)
 val resolvent : t -> t -> on:int -> t option
 
 val equal : t -> t -> bool
+
+(** A hash consistent with {!equal} that reads every LHS entry, the RHS
+    and the relation, and allocates nothing — unlike the polymorphic
+    [Hashtbl.hash], which stops after ten values, so long rows that share
+    a prefix collide. *)
+val hash : t -> int
 
 (** Structural order: total and deterministic within one context (ids are
     assigned in first-intern order).  {e Not} the name-lexicographic order

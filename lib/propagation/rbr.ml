@@ -6,6 +6,7 @@ let c_attrs_dropped = Obs.counter "rbr.attrs_dropped"
 let c_resolvents = Obs.counter "rbr.resolvents_generated"
 let c_deduped = Obs.counter "rbr.resolvents_deduped"
 let c_buckets = Obs.counter "rbr.bucket_nodes_touched"
+let c_pairs = Obs.counter "rbr.pairs_tested"
 let c_prunes = Obs.counter "rbr.prune_rounds"
 let c_builds = Obs.counter "rbr.engine_builds"
 let s_reduce = Obs.histogram "rbr.reduce"
@@ -63,33 +64,65 @@ let drop sigma a =
   List.sort_uniq C.compare canon
 
 (* ---------------------------------------------------------------------- *)
-(* The indexed engine, natively over the pipeline IR ({!Ir.t}).  The       *)
-(* working set is bucketed by RHS attribute and by LHS membership, so      *)
-(* [drop a] pairs only {φ₁ : rhs(φ₁)=a} with {φ₂ : a ∈ lhs(φ₂)} instead of *)
-(* all-pairs over the involved set, and the buckets (plus per-attribute    *)
-(* degrees for the min-degree order) survive across elimination steps —    *)
-(* and, since PR 5, across prune rounds too: the partitioned MinCover's    *)
-(* result is diffed into the live buckets instead of rebuilding.           *)
+(* The indexed engine, natively over the pipeline IR ({!Ir.t}).  Rows live *)
+(* in an array indexed by node id; a removed row's slot holds [dead].      *)
+(* [by_rhs] and [by_lhs] are per-attribute vectors of node ids, appended   *)
+(* in ascending id order and deleted from lazily: removing a row touches   *)
+(* no bucket, and scans skip dead ids.  A row that is re-added (a prune    *)
+(* round diffs its result into the engine) gets a fresh id.  [drop a]      *)
+(* joins the producers {rhs = a} with the consumers {a ∈ lhs} on their     *)
+(* pattern at [a].  Buckets and per-attribute degrees survive across       *)
+(* elimination steps and prune rounds: the engine is built once per        *)
+(* reduction.                                                              *)
 
 module Engine = struct
-  type node = { nid : int; ic : Ir.t }
+  (* A growable vector of node ids, ascending. *)
+  type ids = { mutable ids : int array; mutable len : int }
+
+  module Tbl = Hashtbl.Make (Ir)
 
   type t = {
     ctx : Ir.ctx;
-    mutable by_rhs : (int, node) Hashtbl.t array; (* rhs id -> nodes by nid *)
-    mutable by_lhs : (int, node) Hashtbl.t array; (* lhs id -> nodes by nid *)
-    mutable degree : int array; (* live nodes mentioning the attribute *)
-    live : (Ir.t, node) Hashtbl.t;
+    mutable rows : Ir.t array; (* node id -> row, [dead] once removed *)
     mutable next_nid : int;
+    mutable by_rhs : ids array; (* attribute -> ids of rows with that rhs *)
+    mutable by_lhs : ids array; (* attribute -> ids of rows with it in lhs *)
+    mutable degree : int array; (* live rows mentioning the attribute *)
+    live : int Tbl.t; (* live row -> its node id *)
   }
+
+  let dead = Ir.make "" [] (-1, P.Wild)
+  let is_alive eng id = eng.rows.(id) != dead
+
+  (* Append [id].  A full vector first squeezes out its dead ids and grows
+     only if fewer than half were dead, so the vectors of attributes that
+     are never dropped stay within twice their live entries. *)
+  let push eng v id =
+    if v.len = Array.length v.ids then begin
+      let k = ref 0 in
+      for i = 0 to v.len - 1 do
+        if is_alive eng v.ids.(i) then begin
+          v.ids.(!k) <- v.ids.(i);
+          incr k
+        end
+      done;
+      v.len <- !k;
+      if 2 * v.len >= Array.length v.ids then begin
+        let ids = Array.make (max 8 (2 * v.len)) 0 in
+        Array.blit v.ids 0 ids 0 v.len;
+        v.ids <- ids
+      end
+    end;
+    v.ids.(v.len) <- id;
+    v.len <- v.len + 1
 
   let ensure_capacity eng n =
     let cap = Array.length eng.degree in
     if n > cap then begin
       let cap' = max n (max 16 (2 * cap)) in
-      let grow tbls =
+      let grow vs =
         Array.init cap' (fun i ->
-            if i < Array.length tbls then tbls.(i) else Hashtbl.create 4)
+            if i < cap then vs.(i) else { ids = [||]; len = 0 })
       in
       eng.by_rhs <- grow eng.by_rhs;
       eng.by_lhs <- grow eng.by_lhs;
@@ -98,28 +131,44 @@ module Engine = struct
       eng.degree <- d
     end
 
+  (* Add [step] to the degree of each distinct attribute of [ic]: its LHS
+     ids, and its RHS unless the LHS holds it too. *)
+  let bump_degrees eng (ic : Ir.t) step =
+    Array.iter (fun (a, _) -> eng.degree.(a) <- eng.degree.(a) + step) ic.Ir.lhs;
+    let r = fst ic.Ir.rhs in
+    if Ir.lhs_index ic r < 0 then eng.degree.(r) <- eng.degree.(r) + step
+
+  (* [add eng ic] is [false] when [ic] is already live. *)
   let add eng ic =
-    if not (Hashtbl.mem eng.live ic) then begin
+    if Tbl.mem eng.live ic then false
+    else begin
       ensure_capacity eng (Cfds.Interner.size (Ir.interner eng.ctx));
-      let n = { nid = eng.next_nid; ic } in
-      eng.next_nid <- eng.next_nid + 1;
-      Hashtbl.replace eng.live ic n;
-      Hashtbl.replace eng.by_rhs.(fst ic.Ir.rhs) n.nid n;
-      Array.iter
-        (fun (a, _) -> Hashtbl.replace eng.by_lhs.(a) n.nid n)
-        ic.Ir.lhs;
-      Ir.attrs_iter ic (fun a -> eng.degree.(a) <- eng.degree.(a) + 1)
+      let id = eng.next_nid in
+      eng.next_nid <- id + 1;
+      if id = Array.length eng.rows then begin
+        let rows = Array.make (max 64 (2 * id)) dead in
+        Array.blit eng.rows 0 rows 0 id;
+        eng.rows <- rows
+      end;
+      eng.rows.(id) <- ic;
+      Tbl.add eng.live ic id;
+      push eng eng.by_rhs.(fst ic.Ir.rhs) id;
+      Array.iter (fun (a, _) -> push eng eng.by_lhs.(a) id) ic.Ir.lhs;
+      bump_degrees eng ic 1;
+      true
     end
 
-  let remove eng (n : node) =
-    Hashtbl.remove eng.live n.ic;
-    Hashtbl.remove eng.by_rhs.(fst n.ic.Ir.rhs) n.nid;
-    Array.iter (fun (a, _) -> Hashtbl.remove eng.by_lhs.(a) n.nid) n.ic.Ir.lhs;
-    Ir.attrs_iter n.ic (fun a -> eng.degree.(a) <- eng.degree.(a) - 1)
+  let remove eng id =
+    if is_alive eng id then begin
+      let ic = eng.rows.(id) in
+      eng.rows.(id) <- dead;
+      Tbl.remove eng.live ic;
+      bump_degrees eng ic (-1)
+    end
 
   let remove_cfd eng ic =
-    match Hashtbl.find_opt eng.live ic with
-    | Some n -> remove eng n
+    match Tbl.find_opt eng.live ic with
+    | Some id -> remove eng id
     | None -> ()
 
   let build ctx isigma =
@@ -127,77 +176,156 @@ module Engine = struct
     let eng =
       {
         ctx;
+        rows = [||];
+        next_nid = 0;
         by_rhs = [||];
         by_lhs = [||];
         degree = [||];
-        live = Hashtbl.create 256;
-        next_nid = 0;
+        live = Tbl.create 256;
       }
     in
-    List.iter (fun ic -> add eng ic) isigma;
+    List.iter (fun ic -> ignore (add eng ic)) isigma;
     eng
 
-  let size eng = Hashtbl.length eng.live
+  let size eng = Tbl.length eng.live
 
   let degree eng a = if a < Array.length eng.degree then eng.degree.(a) else 0
 
+  (* Consumers are grouped by their pattern at the dropped attribute: [_]
+     first, then the constants in [Value.compare] order. *)
+  let compare_pattern p q =
+    match p, q with
+    | P.Const u, P.Const v -> Relational.Value.compare u v
+    | P.Wild, P.Wild -> 0
+    | P.Wild, _ -> -1
+    | _, P.Wild -> 1
+    | (P.Const _ | P.Svar), (P.Const _ | P.Svar) -> assert false
+
   (* Drop attribute [a]: resolve producers {rhs = a} against consumers
-     {a ∈ lhs}, then replace every node mentioning [a] by the resolvents.
-     Buckets and degrees are patched in place. *)
+     {a ∈ lhs}, then replace every row mentioning [a] by the resolvents.
+
+     The join.  [P.leq] admits a producer whose RHS pattern is [_] only
+     against consumers with [_] at [a], and one whose RHS is the constant
+     [c] against consumers with [_] or [c] there; attr-eq rows never
+     resolve.  So the live consumers are sorted (stably, from ascending
+     id) into runs by their pattern at [a], and each producer visits the
+     [_] run, merged by id with its constant's run.  Producers are visited
+     in ascending id too.  Ascending id is insertion order, and it fixes
+     the order in which resolvents are found, so it fixes which pair a
+     repeated resolvent's provenance cites (the first derivation wins). *)
   let drop_attr eng a =
     if a < Array.length eng.degree && eng.degree.(a) > 0 then begin
-      let nodes tbl = Hashtbl.fold (fun _ n acc -> n :: acc) tbl [] in
-      let producers = nodes eng.by_rhs.(a) in
-      let consumers = nodes eng.by_lhs.(a) in
+      let producers = eng.by_rhs.(a) and consumers = eng.by_lhs.(a) in
+      let n_producers = ref 0 and n_consumers = ref 0 and joined = ref [] in
+      for i = 0 to producers.len - 1 do
+        if is_alive eng producers.ids.(i) then incr n_producers
+      done;
+      let pattern id =
+        let ic = eng.rows.(id) in
+        snd ic.Ir.lhs.(Ir.lhs_index ic a)
+      in
+      for i = consumers.len - 1 downto 0 do
+        let id = consumers.ids.(i) in
+        if is_alive eng id then begin
+          incr n_consumers;
+          match pattern id with
+          | P.Wild | P.Const _ -> joined := id :: !joined
+          | P.Svar -> () (* attr-eq *)
+        end
+      done;
+      let joined = Array.of_list !joined in
+      Array.stable_sort (fun x y -> compare_pattern (pattern x) (pattern y)) joined;
+      (* The first index in [lo, hi) whose pattern is above [p] ([strict])
+         or not below it. *)
+      let rec bound p ~strict lo hi =
+        if lo >= hi then lo
+        else
+          let mid = (lo + hi) / 2 in
+          let c = compare_pattern (pattern joined.(mid)) p in
+          if c > 0 || (c = 0 && not strict) then bound p ~strict lo mid
+          else bound p ~strict (mid + 1) hi
+      in
+      let n_wild = bound P.Wild ~strict:true 0 (Array.length joined) in
       let tracing = Obs.trace_enabled () in
       if tracing then Obs.trace_begin "rbr.drop";
-      let prov = Provenance.records eng.ctx in
-      let resolvents =
-        List.concat_map
-          (fun (p : node) ->
-            List.filter_map
-              (fun (c : node) ->
-                match Ir.resolvent p.ic c.ic ~on:a with
-                | None -> None
-                | Some r ->
-                  if prov then
-                    Provenance.record_ir eng.ctx r
-                      (Provenance.Resolvent (Ir.name eng.ctx a))
-                      [ p.ic; c.ic ];
-                  Some r)
-              consumers)
-          producers
+      let rule =
+        if Provenance.records eng.ctx then
+          Some (Provenance.Resolvent (Ir.name eng.ctx a))
+        else None
       in
+      let found = ref [] and pairs = ref 0 in
+      let test pic c =
+        incr pairs;
+        let cic = eng.rows.(c) in
+        match Ir.resolvent pic cic ~on:a with
+        | None -> ()
+        | Some r ->
+          (match rule with
+           | Some rule -> Provenance.record_ir eng.ctx r rule [ pic; cic ]
+           | None -> ());
+          found := r :: !found
+      in
+      (* The producer against the [_] run merged with [joined.(lo .. hi-1)]. *)
+      let visit pic lo hi =
+        let w = ref 0 and k = ref lo in
+        while !w < n_wild || !k < hi do
+          if !k >= hi || (!w < n_wild && joined.(!w) < joined.(!k)) then begin
+            test pic joined.(!w);
+            incr w
+          end
+          else begin
+            test pic joined.(!k);
+            incr k
+          end
+        done
+      in
+      let n_joined = Array.length joined in
+      for i = 0 to producers.len - 1 do
+        let pic = eng.rows.(producers.ids.(i)) in
+        if pic != dead then
+          match snd pic.Ir.rhs with
+          | P.Wild -> visit pic 0 0
+          | P.Const _ as p ->
+            let lo = bound p ~strict:false n_wild n_joined in
+            visit pic lo (bound p ~strict:true lo n_joined)
+          | P.Svar -> () (* attr-eq *)
+      done;
+      let resolvents = List.rev !found in
+      let n_resolvents = List.length resolvents in
       if tracing then
         Obs.trace_end
           ~args:
             [
               ("attr", Ir.name eng.ctx a);
-              ("producers", string_of_int (List.length producers));
-              ("consumers", string_of_int (List.length consumers));
-              ("resolvents", string_of_int (List.length resolvents));
+              ("producers", string_of_int !n_producers);
+              ("consumers", string_of_int !n_consumers);
+              ("resolvents", string_of_int n_resolvents);
             ]
           "rbr.drop";
       Obs.incr c_attrs_dropped;
-      Obs.add c_buckets (List.length producers + List.length consumers);
-      Obs.add c_resolvents (List.length resolvents);
-      let involved = Hashtbl.create 16 in
-      List.iter (fun (n : node) -> Hashtbl.replace involved n.nid n) producers;
-      List.iter (fun (n : node) -> Hashtbl.replace involved n.nid n) consumers;
-      Hashtbl.iter (fun _ n -> remove eng n) involved;
+      Obs.add c_buckets (!n_producers + !n_consumers);
+      Obs.add c_pairs !pairs;
+      Obs.add c_resolvents n_resolvents;
+      for i = 0 to producers.len - 1 do
+        remove eng producers.ids.(i)
+      done;
+      for i = 0 to consumers.len - 1 do
+        remove eng consumers.ids.(i)
+      done;
+      (* No row mentions [a] any more, and no resolvent does: [a]'s buckets
+         are never read again. *)
+      eng.by_rhs.(a) <- { ids = [||]; len = 0 };
+      eng.by_lhs.(a) <- { ids = [||]; len = 0 };
       List.iter
-        (fun ic ->
-          if Hashtbl.mem eng.live ic then Obs.incr c_deduped;
-          add eng ic)
+        (fun ic -> if not (add eng ic) then Obs.incr c_deduped)
         resolvents
     end
 
   let extract_ir eng =
-    Hashtbl.fold (fun ic _ acc -> ic :: acc) eng.live []
-    |> List.sort Ir.compare
+    Tbl.fold (fun ic _ acc -> ic :: acc) eng.live [] |> List.sort Ir.compare
 
   let extract eng =
-    Hashtbl.fold (fun ic _ acc -> Ir.to_ast eng.ctx ic :: acc) eng.live []
+    Tbl.fold (fun ic _ acc -> Ir.to_ast eng.ctx ic :: acc) eng.live []
     |> List.sort_uniq C.compare
 end
 
@@ -237,13 +365,13 @@ let reduce_ir ~ctx ?prune ?pool ?max_size ?(order = `Min_degree) isigma
             Mincover.prune_partitioned_ir ?pool ctx space ~chunk live
           in
           last_pruned := max 256 (List.length pruned);
-          let keep = Hashtbl.create 256 in
-          List.iter (fun ic -> Hashtbl.replace keep ic ()) pruned;
+          let keep = Engine.Tbl.create 256 in
+          List.iter (fun ic -> Engine.Tbl.replace keep ic ()) pruned;
           List.iter
             (fun ic ->
-              if not (Hashtbl.mem keep ic) then Engine.remove_cfd eng ic)
+              if not (Engine.Tbl.mem keep ic) then Engine.remove_cfd eng ic)
             live;
-          List.iter (fun ic -> Engine.add eng ic) pruned)
+          List.iter (fun ic -> ignore (Engine.add eng ic)) pruned)
     | Some _ | None -> ()
   in
   (* Greedy min-degree elimination order: dropping the attribute with the

@@ -18,6 +18,9 @@ let checks =
     ("engine.drop_indexed_agrees", Test_engine.drop_indexed_agrees);
     ( "engine.reduce_agrees_with_iterated_drop",
       Test_engine.reduce_agrees_with_iterated_drop );
+    ("engine.drop_indexed_agrees_small", Test_engine.drop_indexed_agrees_small);
+    ( "engine.reduce_agrees_with_iterated_drop_small",
+      Test_engine.reduce_agrees_with_iterated_drop_small );
     ("engine.masked_implies_agrees", Test_engine.masked_implies_agrees);
     ("engine.pooled_prune_agrees", Test_engine.pooled_prune_agrees);
     ( "engine.instrumentation_transparent",
@@ -38,6 +41,11 @@ let corpus =
     ("engine.drop_indexed_agrees", [ 0; 1; 42; 1664; 99_991; 524_287 ]);
     ( "engine.reduce_agrees_with_iterated_drop",
       [ 0; 7; 123; 4_096; 77_777; 999_983 ] );
+    (* Seeds on which an RBR join that skips a constant producer's own
+       constant, a resolvent test that misses the constant-vs-wildcard
+       triviality, or a bucket scan that reads removed rows went wrong. *)
+    ("engine.drop_indexed_agrees_small", [ 1; 4; 9; 12 ]);
+    ("engine.reduce_agrees_with_iterated_drop_small", [ 9; 10; 12; 13; 21 ]);
     ("engine.masked_implies_agrees", [ 0; 13; 256; 31_337; 610_612 ]);
     ("engine.pooled_prune_agrees", [ 0; 5; 1_000; 86_028; 750_000 ]);
     ("engine.instrumentation_transparent", [ 0; 11; 2_024; 500_500 ]);
