@@ -21,7 +21,9 @@ checks every telemetry surface the flags turn on:
   * the access log holds one JSON object per request, in order, with
     the full field set; the open/add_cfd lines carry the session and
     epoch, the add_cfd line the delta plan; with --slow-ms 0 every
-    line is marked slow.
+    line is marked slow.  The daemon appends to the log, so only the
+    lines appended during this run are checked: the smoke can run
+    again into the same path.
 
 Usage: serve_metrics_smoke.py CFDPROP_BIN ACCESS_LOG_OUT METRICS_OUT
 Exit status: 0 = all surfaces OK, 1 = any check failed (daemon output
@@ -29,6 +31,7 @@ is echoed for the CI log).
 """
 
 import json
+import os
 import re
 import socket
 import subprocess
@@ -60,6 +63,11 @@ def main():
         print(__doc__.strip(), file=sys.stderr)
         return 1
     binary, access_out, metrics_out = sys.argv[1:]
+    # `serve --access-log` appends: remember where this run's lines start.
+    try:
+        log_start = os.path.getsize(access_out)
+    except FileNotFoundError:
+        log_start = 0
 
     proc = subprocess.Popen(
         [binary, "serve", "--tcp", "0", "--metrics-port", "0",
@@ -175,9 +183,12 @@ def main():
         proc.wait(timeout=30)
 
         # -- access log ----------------------------------------------------
-        lines = [json.loads(l) for l in open(access_out) if l.strip()]
+        with open(access_out, "rb") as log:
+            log.seek(log_start)
+            appended = log.read().decode()
+        lines = [json.loads(l) for l in appended.splitlines() if l.strip()]
         if len(lines) != 7:
-            fail(f"access log: expected 7 lines, got {len(lines)}")
+            fail(f"access log: expected 7 new lines, got {len(lines)}")
         for entry in lines:
             missing = [k for k in ACCESS_FIELDS if k not in entry]
             if missing:
