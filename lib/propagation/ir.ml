@@ -300,10 +300,9 @@ let equal a b =
      && String.equal a.rel b.rel
 
 (* A hash over every LHS entry, the RHS and the relation, consistent with
-   [equal] and allocation-free ([Value.hash] boxes a tuple).  The
-   polymorphic [Hashtbl.hash] stops after ten values, so long rows that
-   share a prefix would collide.  Entries are folded in arithmetically and
-   the result is scrambled once. *)
+   [equal] and allocation-free.  The polymorphic [Hashtbl.hash] stops after
+   ten values, so long rows that share a prefix would collide.  Entries are
+   folded in arithmetically and the result is scrambled once. *)
 let hash_sym = function
   | P.Wild -> 0x2f1
   | P.Svar -> 0x3a7

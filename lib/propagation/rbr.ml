@@ -64,16 +64,10 @@ let drop sigma a =
   List.sort_uniq C.compare canon
 
 (* ---------------------------------------------------------------------- *)
-(* The indexed engine, natively over the pipeline IR ({!Ir.t}).  Rows live *)
-(* in an array indexed by node id; a removed row's slot holds [dead].      *)
-(* [by_rhs] and [by_lhs] are per-attribute vectors of node ids, appended   *)
-(* in ascending id order and deleted from lazily: removing a row touches   *)
-(* no bucket, and scans skip dead ids.  A row that is re-added (a prune    *)
-(* round diffs its result into the engine) gets a fresh id.  [drop a]      *)
-(* joins the producers {rhs = a} with the consumers {a ∈ lhs} on their     *)
-(* pattern at [a].  Buckets and per-attribute degrees survive across       *)
-(* elimination steps and prune rounds: the engine is built once per        *)
-(* reduction.                                                              *)
+(* The indexed engine, natively over the pipeline IR ({!Ir.t}): rows by    *)
+(* node id, int-vector buckets with lazy deletion, and a join on the       *)
+(* pattern at the dropped attribute.  The header of rbr.mli describes the  *)
+(* layout and its invariants.                                              *)
 
 module Engine = struct
   (* A growable vector of node ids, ascending. *)
@@ -191,61 +185,50 @@ module Engine = struct
 
   let degree eng a = if a < Array.length eng.degree then eng.degree.(a) else 0
 
-  (* Consumers are grouped by their pattern at the dropped attribute: [_]
-     first, then the constants in [Value.compare] order. *)
-  let compare_pattern p q =
-    match p, q with
-    | P.Const u, P.Const v -> Relational.Value.compare u v
-    | P.Wild, P.Wild -> 0
-    | P.Wild, _ -> -1
-    | _, P.Wild -> 1
-    | (P.Const _ | P.Svar), (P.Const _ | P.Svar) -> assert false
-
   (* Drop attribute [a]: resolve producers {rhs = a} against consumers
      {a ∈ lhs}, then replace every row mentioning [a] by the resolvents.
 
      The join.  [P.leq] admits a producer whose RHS pattern is [_] only
      against consumers with [_] at [a], and one whose RHS is the constant
      [c] against consumers with [_] or [c] there; attr-eq rows never
-     resolve.  So the live consumers are sorted (stably, from ascending
-     id) into runs by their pattern at [a], and each producer visits the
-     [_] run, merged by id with its constant's run.  Producers are visited
-     in ascending id too.  Ascending id is insertion order, and it fixes
-     the order in which resolvents are found, so it fixes which pair a
-     repeated resolvent's provenance cites (the first derivation wins). *)
+     resolve.  So the live consumers are split into [wilds] and [consts],
+     the latter sorted (stably, from ascending id) into runs by constant,
+     and each producer visits [wilds], merged by id with its constant's
+     run.  Producers are visited in ascending id too.  Ascending id is
+     insertion order, and it fixes the order in which resolvents are
+     found, so it fixes which pair a repeated resolvent's provenance cites
+     (the first derivation wins). *)
   let drop_attr eng a =
     if a < Array.length eng.degree && eng.degree.(a) > 0 then begin
       let producers = eng.by_rhs.(a) and consumers = eng.by_lhs.(a) in
-      let n_producers = ref 0 and n_consumers = ref 0 and joined = ref [] in
+      let n_producers = ref 0 and n_consumers = ref 0 in
       for i = 0 to producers.len - 1 do
         if is_alive eng producers.ids.(i) then incr n_producers
       done;
-      let pattern id =
-        let ic = eng.rows.(id) in
-        snd ic.Ir.lhs.(Ir.lhs_index ic a)
-      in
+      let wilds = ref [] and consts = ref [] in
       for i = consumers.len - 1 downto 0 do
         let id = consumers.ids.(i) in
         if is_alive eng id then begin
           incr n_consumers;
-          match pattern id with
-          | P.Wild | P.Const _ -> joined := id :: !joined
+          let ic = eng.rows.(id) in
+          match snd ic.Ir.lhs.(Ir.lhs_index ic a) with
+          | P.Wild -> wilds := id :: !wilds
+          | P.Const v -> consts := (v, id) :: !consts
           | P.Svar -> () (* attr-eq *)
         end
       done;
-      let joined = Array.of_list !joined in
-      Array.stable_sort (fun x y -> compare_pattern (pattern x) (pattern y)) joined;
-      (* The first index in [lo, hi) whose pattern is above [p] ([strict])
+      let wilds = Array.of_list !wilds and consts = Array.of_list !consts in
+      Array.stable_sort (fun (u, _) (v, _) -> Relational.Value.compare u v) consts;
+      (* The first index in [lo, hi) whose constant is above [v] ([strict])
          or not below it. *)
-      let rec bound p ~strict lo hi =
+      let rec bound v ~strict lo hi =
         if lo >= hi then lo
         else
           let mid = (lo + hi) / 2 in
-          let c = compare_pattern (pattern joined.(mid)) p in
-          if c > 0 || (c = 0 && not strict) then bound p ~strict lo mid
-          else bound p ~strict (mid + 1) hi
+          let c = Relational.Value.compare (fst consts.(mid)) v in
+          if c > 0 || (c = 0 && not strict) then bound v ~strict lo mid
+          else bound v ~strict (mid + 1) hi
       in
-      let n_wild = bound P.Wild ~strict:true 0 (Array.length joined) in
       let tracing = Obs.trace_enabled () in
       if tracing then Obs.trace_begin "rbr.drop";
       let rule =
@@ -265,29 +248,30 @@ module Engine = struct
            | None -> ());
           found := r :: !found
       in
-      (* The producer against the [_] run merged with [joined.(lo .. hi-1)]. *)
+      (* The producer against [wilds] merged with [consts.(lo .. hi-1)]. *)
+      let n_wilds = Array.length wilds in
       let visit pic lo hi =
         let w = ref 0 and k = ref lo in
-        while !w < n_wild || !k < hi do
-          if !k >= hi || (!w < n_wild && joined.(!w) < joined.(!k)) then begin
-            test pic joined.(!w);
+        while !w < n_wilds || !k < hi do
+          if !k >= hi || (!w < n_wilds && wilds.(!w) < snd consts.(!k)) then begin
+            test pic wilds.(!w);
             incr w
           end
           else begin
-            test pic joined.(!k);
+            test pic (snd consts.(!k));
             incr k
           end
         done
       in
-      let n_joined = Array.length joined in
+      let n_consts = Array.length consts in
       for i = 0 to producers.len - 1 do
         let pic = eng.rows.(producers.ids.(i)) in
         if pic != dead then
           match snd pic.Ir.rhs with
           | P.Wild -> visit pic 0 0
-          | P.Const _ as p ->
-            let lo = bound p ~strict:false n_wild n_joined in
-            visit pic lo (bound p ~strict:true lo n_joined)
+          | P.Const v ->
+            let lo = bound v ~strict:false 0 n_consts in
+            visit pic lo (bound v ~strict:true lo n_consts)
           | P.Svar -> () (* attr-eq *)
       done;
       let resolvents = List.rev !found in

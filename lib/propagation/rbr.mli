@@ -6,16 +6,44 @@
 
     Two implementations coexist.  The reference one ([resolvent], [drop])
     works over the string-keyed {!Cfds.Cfd.t} representation and resolves
-    all pairs of the involved set.  The engine driving [reduce]/[reduce_ir]
-    works natively over the pipeline IR ({!Ir.t}: interned attribute ids,
-    id-sorted LHS arrays) and buckets the working set by RHS attribute and
-    by LHS membership so [drop a] pairs only {i producers} (rhs = a) with
-    {i consumers} (a ∈ lhs); buckets and per-attribute degrees are
-    maintained incrementally across elimination steps {e and} across prune
-    rounds (the pruned set is diffed into the live buckets — the engine is
-    built exactly once per reduction, counted by [rbr.engine_builds]).
-    The property-test suite checks the implementations agree on generated
-    workloads. *)
+    all pairs of the involved set; the property tests use it as the oracle.
+    The engine driving [reduce]/[reduce_ir] works natively over the
+    pipeline IR ({!Ir.t}: interned attribute ids, id-sorted LHS arrays):
+
+    - {b Rows by node id.}  Each live row has a node id, assigned in
+      insertion order; rows sit in an array indexed by id, and removing a
+      row overwrites its slot with a dead sentinel, which is the alive
+      test.  A dedup table maps each live row to its id; it hashes whole
+      rows ({!Ir.hash}) and compares them with {!Ir.equal}.  A row that is
+      removed and added again (a prune round diffs its result into the
+      engine: stale rows removed, reduced ones added) gets a fresh id, so
+      no bucket lists it live twice.
+    - {b Int-vector buckets with lazy deletion.}  [by_rhs.(a)] and
+      [by_lhs.(a)] are growable vectors of the ids of the rows whose RHS
+      is [a], and of those with [a] in their LHS, in ascending id.  Adding
+      a row appends its id; removing it touches no bucket: scans skip dead
+      ids, and a full vector squeezes them out before it grows.
+      Per-attribute degrees (live rows mentioning the attribute, for the
+      min-degree order) are updated on every add and remove.  Dropping [a]
+      frees both of [a]'s vectors: the step removes every row mentioning
+      [a], and no resolvent mentions it.
+    - {b The (attribute, pattern) join.}  [drop a] resolves the
+      {i producers} (rhs = a) against the {i consumers} (a ∈ lhs), split
+      by their pattern at [a]: a producer whose RHS pattern is [_] meets
+      only the [_] consumers, one whose RHS is the constant [c] the [_] and
+      the [c] consumers; attr-eq rows never resolve and are skipped.
+      [rbr.pairs_tested] counts the pairs handed to the resolvent test.
+    - {b The resolvent test} ({!Ir.resolvent}) decides in one walk over the
+      two rows whether the meet is defined and whether the merged row would
+      be trivial, and allocates only a resolvent it returns.
+    - {b Scan order.}  Producers, and each producer's consumers, are
+      visited in ascending id.  The cover does not depend on it (the result
+      is extracted sorted by {!Ir.compare}), but provenance does: the first
+      derivation of a row wins, so the order fixes which pair a repeated
+      resolvent cites and how [--provenance-json] numbers its nodes.
+
+    The engine is built exactly once per reduction, prune rounds included
+    (counted by [rbr.engine_builds]). *)
 
 open Relational
 
@@ -34,7 +62,7 @@ val resolvent :
 val drop : Cfds.Cfd.t list -> string -> Cfds.Cfd.t list
 
 (** [drop_indexed sigma a] computes the same set as {!drop} through the
-    indexed engine (bucketed producers × consumers).  One-shot wrapper used
+    indexed engine (producers joined with consumers).  One-shot wrapper used
     by the differential tests and micro-benchmarks; [reduce] keeps the
     engine alive across all elimination steps instead. *)
 val drop_indexed : Cfds.Cfd.t list -> string -> Cfds.Cfd.t list

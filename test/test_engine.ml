@@ -5,7 +5,8 @@
    - indexed [Rbr.drop_indexed] vs the all-pairs [Rbr.drop], and
      [Rbr.reduce] vs iterated [Rbr.drop]s, on generated workloads and on
      ones whose constants are folded into 1..k with an attr-eq CFD on
-     half the seeds (the generators' constants rarely meet);
+     half the seeds (the generators' constants rarely meet); a failing
+     resolvent test allocates nothing;
    - masked [Fast_impl.implies ~mask] vs recompiling the subset;
    - pooled [Mincover.prune_partitioned_ir ?pool] — the prune RBR runs
      with [options.pool] — vs the sequential run. *)
@@ -126,6 +127,47 @@ let prop_reduce_agrees_with_iterated_drop_small =
   QCheck2.Test.make ~name:"reduce = iterated naive drops (constants in 1..k)"
     ~count:(4 * seeds) gen_seed reduce_agrees_with_iterated_drop_small
 
+(* The resolvent test runs on every pair the join hands it, and most
+   fail, so a failing test must not touch the minor heap: the meet and the
+   triviality of the merged row are decided before it is allocated. *)
+(* The pairs a join would hand over (the producer's RHS pattern is below
+   the consumer's at [a]) whose resolvent is still undefined or trivial. *)
+let failing_pairs seed =
+  let _, rel, sigma = small_constant_workload seed in
+  let ctx = P.Ir.create_ctx () in
+  let rows = List.map (P.Ir.of_ast ctx) sigma in
+  List.concat_map
+    (fun a ->
+      List.concat_map
+        (fun p ->
+          List.filter_map
+            (fun c ->
+              match P.Ir.lhs_pattern c a with
+              | Some t
+                when fst p.P.Ir.rhs = a
+                     && Cfds.Pattern.leq (snd p.P.Ir.rhs) t
+                     && P.Ir.resolvent p c ~on:a = None ->
+                Some (p, c, a)
+              | _ -> None)
+            rows)
+        rows)
+    (List.map (P.Ir.intern ctx) (Schema.attribute_names rel))
+
+let test_failing_resolvents_allocate_nothing () =
+  let failing = Array.of_list (List.concat_map failing_pairs (List.init 40 Fun.id)) in
+  Fixtures.check_bool "the workloads have failing pairs past P.leq" true
+    (Array.length failing >= 100);
+  let run () =
+    for k = 0 to Array.length failing - 1 do
+      let p, c, a = failing.(k) in
+      ignore (P.Ir.resolvent p c ~on:a : P.Ir.t option)
+    done
+  in
+  let delta = Obs.minor_allocated (fun () -> for _ = 1 to 20 do run () done) in
+  if delta <> 0.0 then
+    Alcotest.failf "%d failing resolvent tests allocated %.0f minor words"
+      (20 * Array.length failing) delta
+
 (* --- (b) masked implies ≡ recompile ------------------------------------ *)
 
 let masked_implies_agrees seed =
@@ -233,7 +275,10 @@ let prop_instrumentation_transparent =
     ~count:30 gen_seed instrumentation_transparent
 
 let suite =
-  List.map QCheck_alcotest.to_alcotest
+  ( "failing resolvent tests allocate nothing",
+    `Quick,
+    test_failing_resolvents_allocate_nothing )
+  :: List.map QCheck_alcotest.to_alcotest
     [
       prop_drop_indexed_agrees;
       prop_drop_indexed_agrees_small;
