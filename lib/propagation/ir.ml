@@ -146,23 +146,23 @@ let rec lhs_bs (arr : (int * P.sym) array) a lo hi =
     else if i < a then lhs_bs arr a (mid + 1) hi
     else lhs_bs arr a lo mid
 
-let lhs_index ic a = lhs_bs ic.lhs a 0 (Array.length ic.lhs)
+let lhs_pattern_idx ic a = lhs_bs ic.lhs a 0 (Array.length ic.lhs)
 
 let lhs_pattern ic a =
-  let k = lhs_index ic a in
+  let k = lhs_pattern_idx ic a in
   if k < 0 then None else Some (snd ic.lhs.(k))
 
 let is_trivial ic =
   if is_attr_eq ic then fst ic.lhs.(0) = fst ic.rhs
   else
     let a, eta2 = ic.rhs in
-    let k = lhs_index ic a in
+    let k = lhs_pattern_idx ic a in
     k >= 0
     &&
     let eta1 = snd ic.lhs.(k) in
     P.equal eta1 eta2 || (P.is_const eta1 && P.equal eta2 P.Wild)
 
-let mentions a ic = fst ic.rhs = a || lhs_index ic a >= 0
+let mentions a ic = fst ic.rhs = a || lhs_pattern_idx ic a >= 0
 
 let attrs_iter ic f =
   let r = fst ic.rhs in
@@ -273,7 +273,7 @@ let resolvent phi1 phi2 ~on:a =
   if is_attr_eq phi1 || is_attr_eq phi2 then None
   else if fst phi1.rhs <> a || fst phi2.rhs = a then None
   else
-    let k = lhs_index phi2 a in
+    let k = lhs_pattern_idx phi2 a in
     if k < 0 || not (P.leq (snd phi1.rhs) (snd phi2.lhs.(k))) then None
     else
       let b, eta2 = phi2.rhs in

@@ -109,9 +109,6 @@ val with_rel : t -> string -> t
 
 val lhs_pattern : t -> int -> Cfds.Pattern.sym option
 
-(** [lhs_index ic a] is the index of [a]'s entry in [ic.lhs], or [-1];
-    allocation-free, unlike {!lhs_pattern}. *)
-val lhs_index : t -> int -> int
 val is_attr_eq : t -> bool
 
 (** The (non)triviality test of Section 4.1 (see {!Cfds.Cfd.is_trivial}). *)

@@ -125,12 +125,8 @@ module Engine = struct
       eng.degree <- d
     end
 
-  (* Add [step] to the degree of each distinct attribute of [ic]: its LHS
-     ids, and its RHS unless the LHS holds it too. *)
-  let bump_degrees eng (ic : Ir.t) step =
-    Array.iter (fun (a, _) -> eng.degree.(a) <- eng.degree.(a) + step) ic.Ir.lhs;
-    let r = fst ic.Ir.rhs in
-    if Ir.lhs_index ic r < 0 then eng.degree.(r) <- eng.degree.(r) + step
+  let bump_degrees eng ic step =
+    Ir.attrs_iter ic (fun a -> eng.degree.(a) <- eng.degree.(a) + step)
 
   (* [add eng ic] is [false] when [ic] is already live. *)
   let add eng ic =
@@ -210,11 +206,10 @@ module Engine = struct
         let id = consumers.ids.(i) in
         if is_alive eng id then begin
           incr n_consumers;
-          let ic = eng.rows.(id) in
-          match snd ic.Ir.lhs.(Ir.lhs_index ic a) with
-          | P.Wild -> wilds := id :: !wilds
-          | P.Const v -> consts := (v, id) :: !consts
-          | P.Svar -> () (* attr-eq *)
+          match Ir.lhs_pattern eng.rows.(id) a with
+          | Some P.Wild -> wilds := id :: !wilds
+          | Some (P.Const v) -> consts := (v, id) :: !consts
+          | Some P.Svar | None -> () (* attr-eq *)
         end
       done;
       let wilds = Array.of_list !wilds and consts = Array.of_list !consts in
