@@ -152,15 +152,17 @@ let lhs_pattern ic a =
   let k = lhs_pattern_idx ic a in
   if k < 0 then None else Some (snd ic.lhs.(k))
 
+(* Whether a row with RHS pattern [eta2] whose LHS holds the RHS attribute
+   with [eta1] is trivial. *)
+let trivial_at eta1 eta2 =
+  P.equal eta1 eta2 || (P.is_const eta1 && P.equal eta2 P.Wild)
+
 let is_trivial ic =
   if is_attr_eq ic then fst ic.lhs.(0) = fst ic.rhs
   else
     let a, eta2 = ic.rhs in
     let k = lhs_pattern_idx ic a in
-    k >= 0
-    &&
-    let eta1 = snd ic.lhs.(k) in
-    P.equal eta1 eta2 || (P.is_const eta1 && P.equal eta2 P.Wild)
+    k >= 0 && trivial_at (snd ic.lhs.(k)) eta2
 
 let mentions a ic = fst ic.rhs = a || lhs_pattern_idx ic a >= 0
 
@@ -235,10 +237,6 @@ let meet_defined p q =
   | P.Const x, P.Const y -> Value.equal x y
   | (P.Const _ | P.Wild), (P.Const _ | P.Wild) -> true
   | P.Svar, _ | _, P.Svar -> false
-
-(* [is_trivial] of a row whose LHS holds [rhs]'s attribute with [eta1]. *)
-let trivial_at eta1 eta2 =
-  P.equal eta1 eta2 || (P.is_const eta1 && P.equal eta2 P.Wild)
 
 (* The length of the merge of [w] and [z] minus [skip], or -1 when [w]
    mentions [skip], a meet is undefined, or the entry for [b] makes the

@@ -6,7 +6,8 @@
      [Rbr.reduce] vs iterated [Rbr.drop]s, on generated workloads and on
      ones whose constants are folded into 1..k with an attr-eq CFD on
      half the seeds (the generators' constants rarely meet); a failing
-     resolvent test allocates nothing;
+     resolvent test allocates nothing, and the drop counters count live
+     rows and joined pairs only;
    - masked [Fast_impl.implies ~mask] vs recompiling the subset;
    - pooled [Mincover.prune_partitioned_ir ?pool] — the prune RBR runs
      with [options.pool] — vs the sequential run. *)
@@ -168,6 +169,35 @@ let test_failing_resolvents_allocate_nothing () =
     Alcotest.failf "%d failing resolvent tests allocated %.0f minor words"
       (20 * Array.length failing) delta
 
+(* The counters' definitions, on a hand-made Σ dropped in the order B, C.
+   Dropping B removes R([B] -> [C]) from C's buckets, so the second drop
+   must skip its dead id: [rbr.bucket_nodes_touched] counts live producers
+   and consumers only.  The wildcard producer R([A] -> [B]) meets only the
+   consumer with [_] at B, so [rbr.pairs_tested] is 1 + 1, where the
+   nested loop tested 2 + 1. *)
+let test_drop_counters () =
+  let w = Cfds.Pattern.Wild and one = Cfds.Pattern.Const (Value.int 1) in
+  let sigma =
+    [
+      C.make "R" [ ("A", w) ] ("B", w);
+      C.make "R" [ ("B", w) ] ("C", w);
+      C.make "R" [ ("B", one) ] ("D", w);
+      C.make "R" [ ("C", w) ] ("D", w);
+    ]
+  in
+  Obs.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> Obs.set_enabled false)
+    (fun () ->
+      let reduced, _ = P.Rbr.reduce ~order:`Given sigma ~drop_attrs:[ "B"; "C" ] in
+      let counters = (Obs.snapshot ()).Obs.counters in
+      let count name = Option.value ~default:0 (List.assoc_opt name counters) in
+      Fixtures.check_int "bucket nodes touched" 5 (count "rbr.bucket_nodes_touched");
+      Fixtures.check_int "pairs tested" 2 (count "rbr.pairs_tested");
+      Fixtures.check_int "resolvents generated" 2 (count "rbr.resolvents_generated");
+      Fixtures.check_bool "A -> D is all that is left" true
+        (sets_equal (normalize reduced) (normalize [ C.make "R" [ ("A", w) ] ("D", w) ])))
+
 (* --- (b) masked implies ≡ recompile ------------------------------------ *)
 
 let masked_implies_agrees seed =
@@ -278,6 +308,7 @@ let suite =
   ( "failing resolvent tests allocate nothing",
     `Quick,
     test_failing_resolvents_allocate_nothing )
+  :: ("drop counters skip dead rows", `Quick, test_drop_counters)
   :: List.map QCheck_alcotest.to_alcotest
     [
       prop_drop_indexed_agrees;
