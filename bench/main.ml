@@ -580,14 +580,14 @@ let fleet () =
    is the number of pool domains the server batches across.
 
    The delta script cycles D=4 distinct source CFDs through add → remove
-   round-trips (first exposure of each Σ state pays a recompute; the
-   round-trip back is answered by the session's own full-result cache
-   without running the pipeline — with the slice and verdict caches this
-   keeps [memo.hits] nonzero, which the CI serve guard requires) and
-   includes one CFD on a relation outside the view's atoms, so the patched tier
-   (serve.delta_patches) is exercised on every run.  After the stream,
-   the session's cover is compared byte-for-byte against a from-scratch
-   [Propcover.cover] on the final Σ — any mismatch aborts the bench. *)
+   round-trips (every one on a view relation pays a recompute, whose
+   line 1 reuses the untouched relations' slices through the memo — with
+   the verdict cache this keeps [memo.hits] nonzero, which the CI serve
+   guard requires) and includes one CFD on a relation outside the view's
+   atoms, so the patched tier (serve.delta_patches) is exercised on every
+   run.  After the stream, the session's cover is compared byte-for-byte
+   against a from-scratch [Propcover.cover] on the final Σ — any mismatch
+   aborts the bench. *)
 
 let serve_sigma_n = ref 2_000
 let serve_requests = ref 4_000

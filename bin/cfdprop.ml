@@ -720,8 +720,8 @@ let serve_cmd =
        ~doc:
          "Run the resident propagation service: line-JSON requests open \
           per-(view, Σ) sessions that stay warm across queries, and \
-          add_cfd/remove_cfd patch Σ incrementally (full recompute only \
-          when a delta escapes its relation's minimal-cover slice).")
+          add_cfd/remove_cfd patch Σ in place when the delta's relation \
+          feeds no view atom and recompute the cover otherwise.")
     Term.(
       const serve $ once $ tcp_port $ domains $ replicas $ max_line $ stats
       $ stats_json_arg $ metrics_port $ access_log $ slow_ms)

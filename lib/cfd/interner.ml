@@ -4,8 +4,7 @@ type t = {
   mutable count : int;
 }
 
-let create ?(size = 64) () =
-  { ids = Hashtbl.create size; names = Array.make (max 1 size) ""; count = 0 }
+let create () = { ids = Hashtbl.create 64; names = Array.make 64 ""; count = 0 }
 
 let size t = t.count
 
@@ -24,13 +23,6 @@ let intern t name =
     t.count <- id + 1;
     id
 
-let find_opt t name = Hashtbl.find_opt t.ids name
-
 let name t id =
   if id < 0 || id >= t.count then invalid_arg "Interner.name: unknown id";
   t.names.(id)
-
-let of_list names =
-  let t = create ~size:(List.length names) () in
-  List.iter (fun n -> ignore (intern t n)) names;
-  t

@@ -7,14 +7,11 @@
 type t
 
 (** [create ()] is an empty interner. *)
-val create : ?size:int -> unit -> t
+val create : unit -> t
 
 (** [intern t name] is the id of [name], allocating the next free id on first
     sight.  Ids are assigned in order of first interning. *)
 val intern : t -> string -> int
-
-(** [find_opt t name] is the id of [name] if it was interned. *)
-val find_opt : t -> string -> int option
 
 (** [name t id] is the name with id [id].  Raises [Invalid_argument] on ids
     never handed out. *)
@@ -22,6 +19,3 @@ val name : t -> int -> string
 
 (** Number of distinct names interned. *)
 val size : t -> int
-
-(** [of_list names] interns the names in order. *)
-val of_list : string list -> t

@@ -23,14 +23,12 @@ module Uf = struct
     contribs : Ir.t list array;
   }
 
-  (* Borrow the context-owned scratch instead of allocating per call: the
-     arrays come back reset over ids [0 .. n-1] (and may be longer — all
-     indexing below goes through ids < n).  [compute] interns while it
-     runs, so it already executes only on the context-owning domain, which
-     is exactly the single-writer discipline the borrow requires. *)
-  let borrow ctx n =
-    let parent, keys, contribs = Ir.scratch_uf ctx n in
-    { parent; keys; contribs }
+  let create n =
+    {
+      parent = Array.init n Fun.id;
+      keys = Array.make n None;
+      contribs = Array.make n [];
+    }
 
   let rec find t a =
     let p = t.parent.(a) in
@@ -81,7 +79,7 @@ module Uf = struct
 end
 
 let compute ctx ~body ~selection ~sigma =
-  let uf = Uf.borrow ctx (Cfds.Interner.size (Ir.interner ctx)) in
+  let uf = Uf.create (Cfds.Interner.size (Ir.interner ctx)) in
   (* Contributor tracking costs list traffic in the fixpoint loop, so it
      only runs when the run records (classes then report no contributors,
      which nothing else reads).  Each root carries the CFDs whose firings

@@ -39,29 +39,15 @@ type arena = {
   mutable indexed : int;
 }
 
-type ctx = {
-  interner : I.t;
-  stamp : int;
-  recorder : arena option;
-  (* ComputeEQ's union-find scratch, keyed by interner id and owned by the
-     context so repeated [Compute_eq.compute] calls reuse one set of buffers.
-     Single-writer like [intern]: only the ctx-owning domain may borrow it
-     (ComputeEQ interns while it runs, so this already holds). *)
-  mutable uf_parent : int array;
-  mutable uf_keys : Relational.Value.t option array;
-  mutable uf_contribs : t list array;
-}
+type ctx = { interner : I.t; stamp : int; recorder : arena option }
 
 let next_stamp = Atomic.make 0
 
-let create_ctx ?size ?recorder () =
+let create_ctx ?recorder () =
   {
-    interner = I.create ?size ();
+    interner = I.create ();
     stamp = Atomic.fetch_and_add next_stamp 1;
     recorder;
-    uf_parent = [||];
-    uf_keys = [||];
-    uf_contribs = [||];
   }
 
 let interner ctx = ctx.interner
@@ -69,20 +55,6 @@ let stamp ctx = ctx.stamp
 let recorder ctx = ctx.recorder
 let intern ctx a = I.intern ctx.interner a
 let name ctx id = I.name ctx.interner id
-
-let scratch_uf ctx n =
-  if Array.length ctx.uf_parent < n then begin
-    let cap = max n (2 * Array.length ctx.uf_parent) in
-    ctx.uf_parent <- Array.make cap 0;
-    ctx.uf_keys <- Array.make cap None;
-    ctx.uf_contribs <- Array.make cap []
-  end;
-  for i = 0 to n - 1 do
-    ctx.uf_parent.(i) <- i;
-    ctx.uf_keys.(i) <- None;
-    ctx.uf_contribs.(i) <- []
-  done;
-  (ctx.uf_parent, ctx.uf_keys, ctx.uf_contribs)
 
 let is_attr_eq ic =
   match ic.lhs, ic.rhs with

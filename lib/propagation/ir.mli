@@ -67,7 +67,7 @@ type arena = {
 
 (** [create_ctx ?recorder ()] — [recorder] receives the derivations of
     every stage run under the context. *)
-val create_ctx : ?size:int -> ?recorder:arena -> unit -> ctx
+val create_ctx : ?recorder:arena -> unit -> ctx
 
 val recorder : ctx -> arena option
 val interner : ctx -> Cfds.Interner.t
@@ -80,16 +80,6 @@ val intern : ctx -> string -> int
 (** [name ctx id] resolves an id back to its name (read-only, safe from
     pool workers). *)
 val name : ctx -> int -> string
-
-(** [scratch_uf ctx n] borrows the context-owned union-find scratch used
-    by ComputeEQ, reset over ids [0 .. n-1]: parents point at themselves,
-    keys are [None], contribution lists are empty.  The arrays may be
-    longer than [n] (they grow geometrically and are reused across calls)
-    — callers must index only with ids below [n].  Single-writer like
-    {!intern}: only the context-owning domain may borrow it, and a borrow
-    is valid until the next [scratch_uf] call on the same context. *)
-val scratch_uf :
-  ctx -> int -> int array * Relational.Value.t option array * t list array
 
 (** [make rel lhs rhs] sorts [lhs] by id and validates the same invariants
     as {!Cfds.Cfd.make}: distinct LHS ids, [Svar] only in the

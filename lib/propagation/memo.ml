@@ -20,23 +20,19 @@ type stripe = {
   table : (string, payload) Hashtbl.t;
 }
 
-type t = {
-  stripes : stripe array;
-  mask : int;
-}
+type t = { stripes : stripe array }
 
-let create ?(stripes = 16) () =
-  let n = max 1 stripes in
-  let rec pow2 p = if p >= n then p else pow2 (p * 2) in
-  let n = pow2 1 in
+(* A power of two, so a key's stripe is its hash masked by [n - 1]. *)
+let n_stripes = 16
+
+let create () =
   {
     stripes =
-      Array.init n (fun _ ->
+      Array.init n_stripes (fun _ ->
           { mutex = Mutex.create (); table = Hashtbl.create 64 });
-    mask = n - 1;
   }
 
-let stripe t key = t.stripes.(Hashtbl.hash key land t.mask)
+let stripe t key = t.stripes.(Hashtbl.hash key land (n_stripes - 1))
 
 (* The first ':'-separated key component names the entry kind ("cover",
    "slice", "impl"); surfacing it on the trace instant makes hit/miss

@@ -37,9 +37,8 @@ type payload =
       (** an intermediate CFD list, e.g. a per-relation MinCover(Σ) slice *)
   | Verdict of bool  (** a cached implication verdict *)
 
-(** [create ()] — [stripes] is rounded up to a power of two
-    (default [16]). *)
-val create : ?stripes:int -> unit -> t
+(** [create ()] is an empty memo of 16 stripes. *)
+val create : unit -> t
 
 (** [find t key] probes the memo, bumping [memo.hits]/[memo.misses]. *)
 val find : t -> string -> payload option

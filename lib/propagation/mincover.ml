@@ -119,8 +119,7 @@ let minimal_cover schema sigma =
 
 (* The Σ_R half of a slice key, digested at the IR level through
    [Ir.name] (no [ir.to_ast] edge): the serialisation matches
-   [Memo.digest_cfds] over the canonical ASTs byte for byte, so the
-   AST-level [slice_key] below builds the same key. *)
+   [Memo.digest_cfds] over the canonical ASTs byte for byte. *)
 let slice_digest_ir ctx g =
   let b = Buffer.create 1024 in
   List.iter
@@ -135,9 +134,6 @@ let slice_digest_ir ctx g =
       Buffer.add_char b '\x1e')
     g;
   Memo.digest_string (Buffer.contents b)
-
-let slice_key ~ns rel g =
-  "slice:" ^ ns ^ ":" ^ rel ^ ":" ^ Memo.digest_cfds (List.map C.canonical g)
 
 let minimal_cover_db_ir ?memo ctx db isigma =
   let groups = Hashtbl.create 8 in

@@ -37,13 +37,6 @@ val minimal_cover_ir : Ir.ctx -> Ir.space -> Ir.t list -> Ir.t list
     is sorted by {!Cfds.Cfd.compare}.  It records nothing. *)
 val minimal_cover : Schema.relation -> Cfds.Cfd.t list -> Cfds.Cfd.t list
 
-(** [slice_key ~ns rel sigma_r] is the memo key {!minimal_cover_db_ir}
-    files relation [rel]'s slice under when its per-relation input is
-    [sigma_r] (any order-preserving AST form; the digest canonicalises
-    each CFD).  Exposed so a caller can probe the memo for a relation's
-    current slice without re-running line 1. *)
-val slice_key : ns:string -> string -> Cfds.Cfd.t list -> string
-
 (** [minimal_cover_db_ir ctx db isigma] groups by relation and covers each
     group over its schema's space.  With [memo], each relation's slice
     cover is cached (as ASTs, re-interned on hit) under

@@ -112,10 +112,8 @@ let normalise_const_form_ir ic =
    assignment — and with it every id-order tie-break in
    MinCover/ComputeEQ/RBR — then depends only on the (schema, view) pair,
    not on Σ or its order: two runs on different Σ make identical pipeline
-   decisions on identical name-level inputs.  This is what lets a
-   resident session prove a Σ-delta left the cover byte-identical (Tier
-   A/B of the serve delta planner) and lets slice-cache entries be reused
-   across epochs and views. *)
+   decisions on identical name-level inputs.  This is what lets
+   slice-cache entries be reused across epochs and views. *)
 let intern_universe ctx (v : Spc.t) =
   List.iter
     (fun rel ->
@@ -190,17 +188,6 @@ let instance_digest options (v : Spc.t) =
        options.skip_initial_mincover
        (match options.rbr_order with `Min_degree -> "D" | `Given -> "G"));
   Memo.digest_string (Buffer.contents b)
-
-let slice ?memo (v : Spc.t) rel sigma =
-  let ctx = Ir.create_ctx () in
-  intern_universe ctx v;
-  let isigma =
-    List.filter_map
-      (fun c -> if String.equal c.C.rel rel then Some (Ir.of_ast ctx c) else None)
-      sigma
-  in
-  Mincover.minimal_cover_db_ir ?memo ctx v.Spc.source isigma
-  |> List.map (Ir.to_ast ctx)
 
 (* The pipeline interior runs entirely on the IR: one context per [cover]
    call interns every attribute name touched (source, renamed, view), the

@@ -52,7 +52,7 @@ val default_options : options
     [cover] run depends on besides Σ: the source schema, the full view
     definition, and every cover-affecting option (the pool is excluded —
     [Parallel.Pool.map] is order-preserving).  The serve layer keys its
-    full-result cache and its per-session verdicts with it. *)
+    per-session verdicts with it. *)
 val instance_digest : options -> Spc.t -> string
 
 type result = {
@@ -73,15 +73,6 @@ val cover :
   Spc.t ->
   Cfds.Cfd.t list ->
   result
-
-(** [slice ?memo v rel sigma] is line 1's output for the one relation
-    [rel]: [MinCover] of the CFDs of [sigma] on [rel], with the same
-    interning as {!cover} and, given [memo], the same cache key
-    ({!Mincover.slice_key}), so a miss files the slice for the next
-    [cover] run.  The serve layer's delta planner compares slices with
-    it.  It never records provenance. *)
-val slice :
-  ?memo:Memo.t * string -> Spc.t -> string -> Cfds.Cfd.t list -> Cfds.Cfd.t list
 
 (** [is_propagated_via_cover v sigma phi] decides [Σ |=_V φ] by computing
     the cover and testing [Γ |= φ] — the indirect decision procedure

@@ -18,11 +18,6 @@ let compare a b =
   | Bool x, Bool y -> Bool.compare x y
   | _ -> Int.compare (tag a) (tag b)
 
-let hash = function
-  | Int x -> Hashtbl.hash (0, x)
-  | Str x -> Hashtbl.hash (1, x)
-  | Bool x -> Hashtbl.hash (2, x)
-
 let to_string = function
   | Int x -> string_of_int x
   | Str x -> x

@@ -13,7 +13,6 @@ type t =
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val hash : t -> int
 
 (** [pp] prints a value the way the paper writes constants, e.g. [‘44’] is
     printed as ['44']. *)

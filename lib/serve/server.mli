@@ -4,8 +4,8 @@
     directly).
 
     One server owns one shared {!Propagation.Memo}: sessions on the same
-    schema share line-1 slices, full-result entries and implication
-    verdicts across epochs {e and} across sessions.  Session opens go
+    schema share line-1 slices and implication verdicts across epochs
+    {e and} across sessions.  Session opens go
     through a table mutex, but the request path is lock-free at the
     server tier: session lookup reads an atomic mirror of the table, and
     the request/error totals are atomics.  Per-session concurrency is

@@ -56,16 +56,13 @@ type slot = { slot_lock : Mutex.t; slot_compiled : Fast_impl.compiled }
    immutable after construction (the [slot_compiled] scratch mutates
    under [slot_lock], but never in a way observable through [implies];
    [snap_attribution] is a monotone lazy cell) — so a single [Atomic.get]
-   yields a coherent (epoch, Σ, cover, digest, slices, engines) tuple and
-   readers can never observe a torn or mixed-epoch state. *)
+   yields a coherent (epoch, Σ, cover, digest, engines) tuple and readers
+   can never observe a torn or mixed-epoch state. *)
 type snapshot = {
   snap_epoch : int;
   snap_sigma : C.t list;
   snap_result : Propcover.result;
   snap_cover_digest : string;
-  snap_slices : (string * C.t list) list;
-      (* per atom-base relation: the line-1 slice output of this Σ, in
-         normalize_sigma form — the old side of Tier-B checks *)
   snap_slots : slot array;
   snap_attribution : (C.t * C.t list) list option Atomic.t;
 }
@@ -109,47 +106,35 @@ let insert_sorted c sigma =
   in
   go [] sigma
 
+(* [remove_sorted c sigma], the inverse of [insert_sorted]: [None] when
+   [c] is not a member, else [Some] of [sigma] without it — one walk that
+   stops at the first member above [c], and the cells after [c]'s are
+   shared, not copied. *)
+let remove_sorted c sigma =
+  let rec go prefix = function
+    | [] -> None
+    | d :: rest ->
+      let k = C.compare c d in
+      if k = 0 then Some (List.rev_append prefix rest)
+      else if k < 0 then None
+      else go (d :: prefix) rest
+  in
+  go [] sigma
+
 let cfds_equal a b =
   List.length a = List.length b && List.for_all2 C.equal a b
 
 let namespace db = Memo.digest_string (Memo.schema_string db)
-
-(* The current line-1 slice of one relation, by line 1's own procedure
-   under line 1's memo key: a session recompute has usually filed it
-   already, and a miss (e.g. the full-result cache short-circuited line 1)
-   computes and files it, so a Tier-C recompute that follows reuses it. *)
-let compute_slice ~memo ~ns view sigma rel =
-  normalize_sigma (Propcover.slice ~memo:(memo, ns) view rel sigma)
-
-let refresh_slices ~memo ~ns view atom_bases sigma =
-  List.map (fun rel -> (rel, compute_slice ~memo ~ns view sigma rel)) atom_bases
 
 let name t = t.name
 let view t = t.view
 
 let fresh_options t = { t.options with Propcover.memo = None }
 
-(* The full-result cache.  The cover is a deterministic function of
-   (view, options, Σ), so a key over all three is byte-identical on a
-   hit; Σ round trips (add then remove of one CFD) land here.  Both the
-   initial cover and every Tier-C recompute go through it. *)
-let full_cover ~memo ~ns ~vdigest ~options view sigma =
-  let compute () = Propcover.cover ~options view sigma in
-  let key = "tail:" ^ ns ^ ":" ^ vdigest ^ ":" ^ Memo.digest_cfds sigma in
-  Obs.with_span s_recompute @@ fun () ->
-  match
-    Memo.find_or_compute memo key (fun () ->
-        let r = compute () in
-        Memo.Cover
-          {
-            cover = r.Propcover.cover;
-            complete = r.Propcover.complete;
-            always_empty = r.Propcover.always_empty;
-          })
-  with
-  | Memo.Cover { cover; complete; always_empty }, _ ->
-    { Propcover.cover; complete; always_empty }
-  | (Memo.Cfds _ | Memo.Verdict _), _ -> compute ()
+(* The initial cover and every recomputed delta: the pipeline a fresh
+   [Propcover.cover] runs, with line 1's [slice:] memo. *)
+let recompute ~options view sigma =
+  Obs.with_span s_recompute @@ fun () -> Propcover.cover ~options view sigma
 
 (* One freshly compiled engine per replica.  Patched-tier deltas reuse
    the previous snapshot's slots (the cover is unchanged); only
@@ -218,16 +203,13 @@ let create ?pool ?(replicas = 1) ~memo ~name ~view ~sigma () =
     let options =
       { Propcover.default_options with Propcover.pool; memo = Some (memo, ns) }
     in
-    let vdigest = Propcover.instance_digest options view in
-    let atom_bases = Spc.bases view in
-    let result = full_cover ~memo ~ns ~vdigest ~options view sigma in
+    let result = recompute ~options view sigma in
     let snap0 =
       {
         snap_epoch = 0;
         snap_sigma = sigma;
         snap_result = result;
         snap_cover_digest = Memo.digest_cfds result.Propcover.cover;
-        snap_slices = refresh_slices ~memo ~ns view atom_bases sigma;
         snap_slots = compile_slots ~replicas view result.Propcover.cover;
         snap_attribution = Atomic.make None;
       }
@@ -239,9 +221,9 @@ let create ?pool ?(replicas = 1) ~memo ~name ~view ~sigma () =
         vschema = Spc.view_schema view;
         memo;
         ns;
-        vdigest;
+        vdigest = Propcover.instance_digest options view;
         options;
-        atom_bases;
+        atom_bases = Spc.bases view;
         replicas;
         rr = Atomic.make 0;
         slot_reads = Array.init replicas (fun _ -> Atomic.make 0);
@@ -398,10 +380,7 @@ let apply_delta_locked t dop c =
     let next_sigma =
       match dop with
       | `Add -> insert_sorted c snap.snap_sigma
-      | `Remove ->
-        if List.exists (C.equal c) snap.snap_sigma then
-          Some (List.filter (fun d -> not (C.equal d c)) snap.snap_sigma)
-        else None
+      | `Remove -> remove_sorted c snap.snap_sigma
     in
     match next_sigma with
     | None ->
@@ -417,23 +396,23 @@ let apply_delta_locked t dop c =
           stale = Some [];
         }
     | Some sigma' ->
-      let rel = c.C.rel in
       let swap snap' =
         Atomic.set t.snap snap';
         Obs.incr c_epoch_swaps
       in
-      let patch slices' =
-        (* The cover is unchanged, so the previous snapshot's compiled
-           slots carry over verbatim.  Attribution maps cover members to
-           axioms; a patched delta leaves the cover intact but can change
-           which axioms exist / are redundant, so the new snapshot starts
-           with an empty lazy cell. *)
+      if not (List.mem c.C.rel t.atom_bases) then begin
+        (* Tier A: the relation feeds no view atom, so [Propcover] drops
+           every CFD of it before line 1 — the pipeline input is
+           untouched.  The cover is unchanged, so the previous snapshot's
+           compiled slots carry over verbatim.  Attribution maps cover
+           members to axioms; a patched delta leaves the cover intact but
+           can change which axioms exist, so the new snapshot starts with
+           an empty lazy cell. *)
         let snap' =
           {
             snap with
             snap_epoch = snap.snap_epoch + 1;
             snap_sigma = sigma';
-            snap_slices = slices';
             snap_attribution = Atomic.make None;
           }
         in
@@ -450,79 +429,53 @@ let apply_delta_locked t dop c =
             removed = [];
             stale = Some [];
           }
-      in
-      if not (List.mem rel t.atom_bases) then
-        (* Tier A: the relation feeds no view atom, so [Propcover] drops
-           every CFD of it before line 1 — the pipeline input is
-           untouched. *)
-        patch snap.snap_slices
+      end
       else begin
-        let old_slice =
-          match List.assoc_opt rel snap.snap_slices with
-          | Some s -> s
-          | None -> []
+        (* Recompute: the pipeline a fresh [Propcover.cover] runs, whose
+           line 1 reuses the untouched relations' slices through the
+           memo.  Attribution (when already materialised) narrows the
+           report of which members a removal touched; it can never
+           license skipping the recompute — minimal covers are not
+           monotone under axiom deletion. *)
+        let old_cover = snap.snap_result.Propcover.cover in
+        let stale =
+          match Atomic.get snap.snap_attribution, dop with
+          | Some attr, `Remove ->
+            Some
+              (List.filter_map
+                 (fun (m, srcs) ->
+                   if List.exists (C.equal c) srcs then Some m else None)
+                 attr)
+          | Some _, `Add -> Some []
+          | None, _ -> None
         in
-        let new_slice = compute_slice ~memo:t.memo ~ns:t.ns t.view sigma' rel in
-        if cfds_equal old_slice new_slice then
-          (* Tier B: the delta is absorbed by MinCover(Σ_R) — every
-             downstream stage sees element-wise identical input.  Keep
-             the recomputed slice entry for the next delta's old side. *)
-          patch ((rel, new_slice) :: List.remove_assoc rel snap.snap_slices)
-        else begin
-          (* Tier C: full recompute, warm through the memo (the
-             full-result cache, then the line-1 slices of untouched
-             relations and of the one the Tier-B check just filed).
-             Attribution (when already materialised) narrows the report
-             of which members a removal touched; it can never license
-             skipping the recompute — minimal covers are not monotone
-             under axiom deletion. *)
-          let old_cover = snap.snap_result.Propcover.cover in
-          let stale =
-            match Atomic.get snap.snap_attribution, dop with
-            | Some attr, `Remove ->
-              Some
-                (List.filter_map
-                   (fun (m, srcs) ->
-                     if List.exists (C.equal c) srcs then Some m else None)
-                   attr)
-            | Some _, `Add -> Some []
-            | None, _ -> None
-          in
-          let result =
-            full_cover ~memo:t.memo ~ns:t.ns ~vdigest:t.vdigest
-              ~options:t.options t.view sigma'
-          in
-          let snap' =
-            {
-              snap_epoch = snap.snap_epoch + 1;
-              snap_sigma = sigma';
-              snap_result = result;
-              snap_cover_digest = Memo.digest_cfds result.Propcover.cover;
-              snap_slices =
-                refresh_slices ~memo:t.memo ~ns:t.ns t.view t.atom_bases
-                  sigma';
-              snap_slots =
-                compile_slots ~replicas:t.replicas t.view
-                  result.Propcover.cover;
-              snap_attribution = Atomic.make None;
-            }
-          in
-          swap snap';
-          Atomic.incr t.st_fallbacks;
-          Obs.incr c_fallbacks;
-          let new_cover = result.Propcover.cover in
-          let added, removed = diff_covers old_cover new_cover in
-          Ok
-            {
-              plan = Recomputed;
-              epoch = snap'.snap_epoch;
-              cover_size = List.length new_cover;
-              changed = not (cfds_equal old_cover new_cover);
-              added;
-              removed;
-              stale;
-            }
-        end
+        let result = recompute ~options:t.options t.view sigma' in
+        let snap' =
+          {
+            snap_epoch = snap.snap_epoch + 1;
+            snap_sigma = sigma';
+            snap_result = result;
+            snap_cover_digest = Memo.digest_cfds result.Propcover.cover;
+            snap_slots =
+              compile_slots ~replicas:t.replicas t.view result.Propcover.cover;
+            snap_attribution = Atomic.make None;
+          }
+        in
+        swap snap';
+        Atomic.incr t.st_fallbacks;
+        Obs.incr c_fallbacks;
+        let new_cover = result.Propcover.cover in
+        let added, removed = diff_covers old_cover new_cover in
+        Ok
+          {
+            plan = Recomputed;
+            epoch = snap'.snap_epoch;
+            cover_size = List.length new_cover;
+            changed = not (cfds_equal old_cover new_cover);
+            added;
+            removed;
+            stale;
+          }
       end
 
 (* Per-tier latency: the plan is only known once the delta resolves, so

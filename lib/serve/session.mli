@@ -1,17 +1,17 @@
 (** One resident (view, Σ) propagation session: the compiled state a
     [cfdprop serve] daemon keeps warm across requests — the current
     minimal propagation cover, {!Propagation.Fast_impl} engines compiled
-    from it for [propagates?] queries, the per-relation line-1 slices,
-    and (lazily) the provenance attribution of each cover member.
+    from it for [propagates?] queries, and (lazily) the provenance
+    attribution of each cover member.
 
     {2 State ownership: epoch-swapped snapshots behind replica slots}
 
     The session is a thin coordinator over {e immutable epoch-stamped
     snapshots}.  A snapshot freezes everything a reader needs — Σ, the
-    cover with its digest, the per-relation slices, and an array of
-    [replicas] compiled engines — and is published through one [Atomic]
-    cell.  Reads ([epoch]/[sigma]/[cover]/[propagates]/[explain]) are
-    lock-free at the session level: one [Atomic.get] yields a coherent
+    cover with its digest, and an array of [replicas] compiled engines —
+    and is published through one [Atomic] cell.  Reads
+    ([epoch]/[sigma]/[cover]/[propagates]/[explain]) are lock-free at
+    the session level: one [Atomic.get] yields a coherent
     tuple, so a reader can never observe a torn or mixed-epoch state,
     and sequential reads observe monotonically non-decreasing epochs.
     The only locks a read can touch are a replica slot's (each compiled
@@ -25,10 +25,10 @@
     epoch bump (counted [serve.epoch_swaps]).  Readers in flight keep
     answering from the old snapshot; new reads see the new one.  Shared,
     append-only state lives in the server's {!Propagation.Memo} (line-1
-    slices, the session's full-result cache, verdicts), safe across
-    domains by construction.  An [explain] records its attribution into
-    a recorder of its own ({!Propagation.Provenance}), so it runs
-    concurrently with every other session's work.
+    slices and verdicts), safe across domains by construction.  An
+    [explain] records its attribution into a recorder of its own
+    ({!Propagation.Provenance}), so it runs concurrently with every
+    other session's work.
 
     {2 The Σ-delta planner}
 
@@ -37,28 +37,19 @@
     pick the cheapest plan that keeps the session's cover
     {e byte-identical} to a fresh [Propcover.cover] on the current Σ:
 
-    - {b Patched} (counted [serve.delta_patches]): either the delta's
-      relation is not a base of any view atom ({!Relational.Spc.bases}:
+    - {b Patched} (counted [serve.delta_patches]): the delta's relation
+      is not a base of any view atom ({!Relational.Spc.bases}):
       {!Propagation.Propcover} drops its CFDs before line 1, so the
-      pipeline input is untouched), or the recomputed per-relation
-      line-1 slice is set-identical to the old one (then every
-      downstream stage sees element-wise identical input).  Slices come
-      from {!Propagation.Propcover.slice} — line 1 itself under line 1's
-      memo key — so a miss files the slice a following recompute reuses.
-      The next snapshot shares the cover, digest, and compiled slots with
-      the old one; only Σ and the slices change.
-    - {b Recomputed} (counted [serve.fallbacks]): anything else — minimal
-      covers are not monotone under axiom deletion, so provenance
-      attribution alone can never justify skipping the recompute; it only
-      narrows the {e report} of which members were touched.  The
-      recompute runs warm through the memo: a Σ seen at an earlier epoch
-      is answered by the session's full-result cache (keyed on the
-      namespace, {!Propagation.Propcover.instance_digest} and the digest
-      of Σ) without running the pipeline, and otherwise line 1 reuses
-      the slices of untouched relations and the one the Tier-B check
-      just filed.  Byte-identity with from-scratch is asserted by the
-      differential walks.  [replicas] fresh engines are compiled for the
-      new cover.
+      pipeline input is untouched.  The next snapshot shares the cover,
+      digest, and compiled slots with the old one; only Σ changes.
+    - {b Recomputed} (counted [serve.fallbacks]): every other delta runs
+      the pipeline a fresh [Propcover.cover] runs, so the cover is
+      byte-identical by construction.  Line 1 reuses the slices of the
+      untouched relations through the memo.  [replicas] fresh engines
+      are compiled for the new cover.  Minimal covers are not monotone
+      under axiom deletion, so provenance attribution can never justify
+      skipping the recompute; it only narrows the {e report} of which
+      members were touched.
     - {b Noop}: adding a CFD already in Σ / removing an absent one. *)
 
 open Relational
@@ -94,9 +85,8 @@ type stats = {
   patches : int;
   fallbacks : int;
   recomputes : int;
-      (** [fallbacks + 1]: the initial cover plus every Tier-C delta,
-          including those the session's result cache answered without
-          running the pipeline *)
+      (** [fallbacks + 1]: the initial cover plus every recomputed
+          delta *)
   noops : int;
   epoch : int;
   replicas : int;  (** size of the replica slot array (fixed at create) *)
@@ -108,7 +98,7 @@ type stats = {
 val normalize_sigma : Cfds.Cfd.t list -> Cfds.Cfd.t list
 
 (** [create ~memo ~name ~view ~sigma ()] computes the initial cover
-    (epoch 0, through the full-result cache) and compiles [replicas]
+    (epoch 0) and compiles [replicas]
     (default 1, floored to 1) query engines.  [memo] may be shared with
     other sessions — keys are namespaced by a digest of the schema.
     Errors on a CFD that is not over a source relation's attributes

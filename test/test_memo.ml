@@ -28,7 +28,7 @@ let test_find_add_roundtrip () =
   check_int "entries grow" 2 (Memo.entries m)
 
 let test_find_or_compute () =
-  let m = Memo.create ~stripes:3 () in
+  let m = Memo.create () in
   let computes = ref 0 in
   let f () =
     incr computes;
@@ -75,7 +75,7 @@ let test_stress_hammering () =
   let keys = List.init nkeys (fun i -> Printf.sprintf "impl:stress:%d" i) in
   let expected i = i mod 3 = 0 in
   Pool.with_pool ~size:4 (fun pool ->
-      let m = Memo.create ~stripes:4 () in
+      let m = Memo.create () in
       let computes = Array.init nkeys (fun _ -> Atomic.make 0) in
       let worker w =
         let order = if w mod 2 = 0 then keys else List.rev keys in

@@ -204,11 +204,13 @@ let test_batch_order () =
             (field r "id" = Some (Json.Num (float_of_int i))))
         resps)
 
-(* A Tier-A add inserts the CFD into the sorted Σ in place; the [sigma]
-   op must then read byte-for-byte as for a session opened on that Σ,
-   which sorts it from scratch.  R0 and R2 feed no view atom, so every
-   add below is Tier A; they land first, last and in between, with their
-   LHS written out of canonical order. *)
+(* A Tier-A add inserts the CFD into the sorted Σ in place, and a Tier-A
+   remove takes it out in place; the [sigma] op must then read
+   byte-for-byte as for a session opened on that Σ, which sorts it from
+   scratch.  R0 and R2 feed no view atom, so every delta below is Tier A;
+   adds land first, last and in between, removes take out the first, the
+   last and a middle member, and some CFDs are written with their LHS out
+   of canonical order. *)
 let test_tier_a_sigma () =
   let schemas =
     "schema R0(A: string, B: string, C: string); schema R1(A: string, B: \
@@ -226,16 +228,17 @@ let test_tier_a_sigma () =
   in
   let t = Server.create () in
   check_bool "open" true (Server.handle_line t (open_doc "walk" base) |> is_ok);
-  let sigma name =
+  let members name =
     match
       field
         (Server.handle_line t
            (Printf.sprintf "{\"op\": \"sigma\", \"session\": %S}" name))
         "sigma"
     with
-    | Some v -> Json.to_string v
-    | None -> Alcotest.failf "no sigma for %s" name
+    | Some (Json.Arr l) -> List.map Json.to_string l
+    | Some _ | None -> Alcotest.failf "no sigma for %s" name
   in
+  let sigma name = String.concat "," (members name) in
   List.iteri
     (fun k cfd ->
       let r =
@@ -258,7 +261,59 @@ let test_tier_a_sigma () =
       "{\"op\": \"add_cfd\", \"session\": \"walk\", \"cfd\": \"R2([B, C] -> [A='1'])\"}"
   in
   check_bool "re-add is a noop" true (field r "plan" = Some (Json.Str "noop"));
-  check_str "noop keeps sigma" before (sigma "walk")
+  check_str "noop keeps sigma" before (sigma "walk");
+  let remove cfd =
+    Server.handle_line t
+      (Printf.sprintf
+         "{\"op\": \"remove_cfd\", \"session\": \"walk\", \"cfd\": %S}" cfd)
+  in
+  let removes =
+    [
+      ("R0([C, A] -> [B])", `First);
+      ("R2([C='9'] -> [A])", `Last);
+      ("R2([B] -> [C])", `Middle);
+    ]
+  in
+  List.iteri
+    (fun k (cfd, where) ->
+      let before = members "walk" in
+      let n = List.length before in
+      let r = remove cfd in
+      check_bool ("tier A remove " ^ cfd) true
+        (field r "plan" = Some (Json.Str "patched"));
+      let after = members "walk" in
+      check_int ("one fewer member after removing " ^ cfd) (n - 1)
+        (List.length after);
+      (* The position of the removed member: the first where the two
+         lists part. *)
+      let rec parted i = function
+        | b :: bs, a :: as_ when String.equal a b -> parted (i + 1) (bs, as_)
+        | _ -> i
+      in
+      let i = parted 0 (before, after) in
+      check_bool ("position of " ^ cfd) true
+        (match where with
+         | `First -> i = 0
+         | `Last -> i = n - 1
+         | `Middle -> 0 < i && i < n - 1);
+      Alcotest.(check (list string))
+        ("only " ^ cfd ^ " left")
+        (List.filteri (fun j _ -> j <> i) before)
+        after;
+      let gone = List.filteri (fun j _ -> j <= k) (List.map fst removes) in
+      let left = List.filter (fun c -> not (List.mem c gone)) (base @ adds) in
+      let fresh = Printf.sprintf "fresh-removed%d" k in
+      check_bool "open fresh" true
+        (Server.handle_line t (open_doc fresh left) |> is_ok);
+      check_str ("sigma after removing " ^ cfd) (sigma fresh) (sigma "walk"))
+    removes;
+  (* Removing a CFD that is not a member is a noop and leaves Σ as it
+     was. *)
+  let before = sigma "walk" in
+  let r = remove "R2([A] -> [C])" in
+  check_bool "absent remove is a noop" true
+    (field r "plan" = Some (Json.Str "noop"));
+  check_str "absent remove keeps sigma" before (sigma "walk")
 
 (* ------------------------------------------------------------------ *)
 (* Delta tiers on the running example (Fixtures q1: view over R1 only) *)
@@ -270,7 +325,7 @@ let test_delta_tiers () =
     ok_exn (Session.create ~memo ~name:"t" ~view:q1 ~sigma:[ f1; f2 ] ())
   in
   check_int "initial epoch" 0 (Session.epoch s);
-  (* recomputes counts the initial cover plus every Tier-C delta. *)
+  (* recomputes counts the initial cover plus every recomputed delta. *)
   let check_recomputes fallbacks =
     let st = Session.stats s in
     check_int "fallbacks so far" fallbacks st.Session.fallbacks;
@@ -288,37 +343,30 @@ let test_delta_tiers () =
   check_recomputes 0;
   check_bool "noop" true (d.Session.plan = Session.Noop);
   check_int "noop epoch" 1 d.Session.epoch;
-  (* Tier B: [AC='20', zip] -> [street] is implied by f1, so the R1
-     minimal-cover slice absorbs it. *)
+  (* [AC='20', zip] -> [street] is implied by f1, so line 1 absorbs it,
+     but it is on R1, which the view reads: the delta recomputes, and the
+     cover's bytes stay as they were. *)
   let redundant =
     C.make "R1"
       [ ("AC", Cfds.Pattern.Const (Value.str "20")); ("zip", Cfds.Pattern.Wild) ]
       ("street", Cfds.Pattern.Wild)
   in
+  let before = (Session.cover s).P.Propcover.cover in
   let d = ok_exn (Session.add_cfd s redundant) in
-  check_recomputes 0;
-  check_bool "tier B patched" true (d.Session.plan = Session.Patched);
-  check_int "tier B epoch" 2 d.Session.epoch;
-  (* The check computed the new Σ_R's slice by line 1's own procedure and
-     filed it under line 1's memo key, so a recompute that follows reuses
-     it rather than minimising Σ_R again. *)
-  let sigma_r =
-    List.filter (fun c -> String.equal c.C.rel "R1") (Session.sigma s)
-  in
-  let ns = P.Memo.digest_string (P.Memo.schema_string q1.Spc.source) in
-  (match P.Memo.find memo (P.Mincover.slice_key ~ns "R1" sigma_r) with
-   | Some (P.Memo.Cfds filed) ->
-     let line1 = P.Propcover.slice q1 "R1" sigma_r in
-     check_bool "tier B filed line 1's slice" true
-       (List.length filed = List.length line1
-       && List.for_all2 (fun a b -> C.compare a b = 0) filed line1)
-   | Some _ | None -> Alcotest.fail "tier B filed no slice under line 1's key");
-  (* Tier C: cfd1 survives into the cover — full recompute. *)
-  let d = ok_exn (Session.add_cfd s cfd1) in
   check_recomputes 1;
-  check_bool "tier C recomputed" true (d.Session.plan = Session.Recomputed);
-  check_bool "tier C cover changed" true d.Session.changed;
-  check_bool "tier C added nonempty" true (d.Session.added <> []);
+  check_bool "absorbed add recomputed" true (d.Session.plan = Session.Recomputed);
+  check_bool "absorbed add leaves the cover" false d.Session.changed;
+  check_int "absorbed add epoch" 2 d.Session.epoch;
+  check_bool "absorbed add keeps the cover's bytes" true
+    (List.equal
+       (fun a b -> C.compare a b = 0)
+       before (Session.cover s).P.Propcover.cover);
+  (* cfd1 survives into the cover — recomputed. *)
+  let d = ok_exn (Session.add_cfd s cfd1) in
+  check_recomputes 2;
+  check_bool "cfd1 recomputed" true (d.Session.plan = Session.Recomputed);
+  check_bool "cfd1 cover changed" true d.Session.changed;
+  check_bool "cfd1 added nonempty" true (d.Session.added <> []);
   (* explain materialises attribution; the next removal reports staleness *)
   let e = ok_exn (Session.explain s phi4) in
   check_bool "phi4 propagated" true e.Session.propagated;
@@ -327,7 +375,7 @@ let test_delta_tiers () =
        (fun (_, srcs) -> List.exists (C.equal (C.canonical cfd1)) srcs)
        e.Session.sources);
   let d = ok_exn (Session.remove_cfd s cfd1) in
-  check_recomputes 2;
+  check_recomputes 3;
   check_bool "removal recomputed" true (d.Session.plan = Session.Recomputed);
   check_bool "removal reports stale members" true
     (match d.Session.stale with Some (_ :: _) -> true | _ -> false);
@@ -344,8 +392,8 @@ let test_delta_tiers () =
          (fun a b -> C.compare a b = 0)
          r.P.Propcover.cover fresh.P.Propcover.cover);
   let st = Session.stats s in
-  check_int "patches" 2 st.Session.patches;
-  check_int "fallbacks" 2 st.Session.fallbacks;
+  check_int "patches" 1 st.Session.patches;
+  check_int "fallbacks" 3 st.Session.fallbacks;
   check_int "noops" 1 st.Session.noops
 
 (* Σ order never reaches the cover: ids are interned from the (schema,
@@ -555,7 +603,7 @@ let test_concurrent_hammer () =
 (* Replicated sessions: concurrent readers across replica slots during
    epoch swaps.  Each reader domain runs a long sequential stream of
    propagates against a 4-replica session while the main domain applies
-   deltas (Tier C recompute swaps and Tier A patch swaps).  Invariants:
+   deltas (recompute swaps and Tier A patch swaps).  Invariants:
 
    - per reader, observed epochs are monotonically non-decreasing — a
      read from epoch e answered after a read from e+1 on the same
@@ -588,7 +636,7 @@ let test_replicated_swap_torture () =
     go [] (-1) 400
   in
   let readers = List.init 3 (fun _ -> Stdlib.Domain.spawn reader) in
-  (* Writer (this domain): interleave Tier C swaps (cfd1 flips phi4's
+  (* Writer (this domain): interleave recompute swaps (cfd1 flips phi4's
      verdict) with Tier A patch swaps on the off-view relation. *)
   let off = C.fd "R2" [ "zip" ] "street" in
   for _ = 1 to 8 do
@@ -624,11 +672,11 @@ let with_obs f =
   Obs.set_enabled true;
   Fun.protect ~finally:(fun () -> Obs.set_enabled was) f
 
-(* The full-result cache belongs to the session: a Tier-C add followed by
-   the remove of the same CFD returns Σ to a value seen before, so the
-   remove is answered from the cache without running the pipeline, and
-   the cover is byte-identical to a fresh run. *)
-let test_result_cache_round_trip () =
+(* A recomputed add followed by the remove of the same CFD returns Σ to a
+   value seen before.  Both deltas run the pipeline, and the remove lands
+   on the cover the session started from, byte for byte, which is also
+   what a fresh run computes. *)
+let test_round_trip_recomputes () =
   let open Fixtures in
   with_obs @@ fun () ->
   let s =
@@ -636,23 +684,28 @@ let test_result_cache_round_trip () =
       (Session.create ~memo:(P.Memo.create ()) ~name:"rt" ~view:q1
          ~sigma:[ f1; f2 ] ())
   in
+  let start = (Session.cover s).P.Propcover.cover in
+  let computed = counter "propcover.covers_computed" in
   let d = ok_exn (Session.add_cfd s cfd1) in
   check_bool "add recomputed" true (d.Session.plan = Session.Recomputed);
-  let computed = counter "propcover.covers_computed" in
+  check_int "add computes one cover" (computed + 1)
+    (counter "propcover.covers_computed");
   let d = ok_exn (Session.remove_cfd s cfd1) in
   check_bool "remove recomputed" true (d.Session.plan = Session.Recomputed);
-  check_int "remove answered from the cache" computed
+  check_int "remove computes one cover" (computed + 2)
     (counter "propcover.covers_computed");
-  check_bool "cached cover matches fresh batch" true (covers_match s)
+  check_bool "back to the starting cover" true
+    (List.equal
+       (fun a b -> C.compare a b = 0)
+       start (Session.cover s).P.Propcover.cover);
+  check_bool "round-trip cover matches fresh batch" true (covers_match s)
 
 (* Recorders are per run, so an explain neither stalls nor perturbs
    another session's recompute.  One domain applies Tier-A deltas to
    session A (R2 feeds no atom of q1, so they touch no memo) and explains
    phi4 after each, which records A's attribution afresh; the other
-   applies Tier-C deltas to session B, each on a new Σ.  A's explains
-   keep citing cfd1, B's covers match fresh batch runs, and B's
-   recomputes still hit the slice memo — the only memo traffic here is
-   B's. *)
+   applies recomputed deltas to session B, each on a new Σ.  A's explains
+   keep citing cfd1, and B's covers match fresh batch runs. *)
 let test_explain_beside_recomputes () =
   let open Fixtures in
   with_obs @@ fun () ->
@@ -662,7 +715,6 @@ let test_explain_beside_recomputes () =
   in
   let a = session "a" [ f1; f2; cfd1 ] in
   let b = session "b" [ f1; f2 ] in
-  let hits0 = counter "memo.hits" in
   let r2 = C.fd "R2" [ "zip" ] "street" in
   let adds =
     [
@@ -701,12 +753,57 @@ let test_explain_beside_recomputes () =
           adds)
   in
   check_bool "A's explains cite cfd1" true (Stdlib.Domain.join explainer);
-  check_bool "B's Tier-C covers match fresh batch runs" true
-    (Stdlib.Domain.join recomputer);
-  (* Per add: line 1 of the recompute hits the slice the Tier-B check
-     filed, and the slice refresh after it hits again. *)
-  check_bool "B's recomputes hit the slice memo" true
-    (counter "memo.hits" - hits0 >= 2 * List.length adds)
+  check_bool "B's recomputed covers match fresh batch runs" true
+    (Stdlib.Domain.join recomputer)
+
+(* A recompute reruns line 1 through the memo, so on a view over two
+   relations a delta on one of them finds the other's slice filed: every
+   recompute below hits at least once, and its cover matches a fresh
+   batch run. *)
+let test_recompute_reuses_slices () =
+  let doc =
+    "schema R1(A: string, B: string, C: string); schema R2(D: string, E: \
+     string, F: string); cfd R1([A] -> [B]); cfd R1([B] -> [C]); cfd \
+     R2([D] -> [E]); cfd R2([E, F] -> [D='1']); view V = from [R1(A, B, C), \
+     R2(D, E, F)] where [C = D] project [A, B, E, F];"
+  in
+  let d =
+    match Syntax.Parser.parse_document doc with
+    | Ok d -> d
+    | Error m -> Alcotest.failf "doc: %s" m
+  in
+  let view =
+    match d.Syntax.Parser.views with
+    | [ v ] -> v
+    | _ -> Alcotest.fail "expected one view"
+  in
+  with_obs @@ fun () ->
+  let s =
+    ok_exn
+      (Session.create ~memo:(P.Memo.create ()) ~name:"two" ~view
+         ~sigma:d.Syntax.Parser.cfds ())
+  in
+  List.iter
+    (fun (delta, c) ->
+      let hits = counter "memo.hits" in
+      let r = ok_exn (delta s c) in
+      check_bool
+        (Format.asprintf "%a recomputed" C.pp c)
+        true
+        (r.Session.plan = Session.Recomputed);
+      check_bool
+        (Format.asprintf "%a hits the other relation's slice" C.pp c)
+        true
+        (counter "memo.hits" > hits);
+      check_bool
+        (Format.asprintf "%a matches fresh batch" C.pp c)
+        true (covers_match s))
+    [
+      (Session.add_cfd, C.fd "R1" [ "C" ] "A");
+      (Session.add_cfd, C.fd "R2" [ "F" ] "E");
+      (Session.remove_cfd, C.fd "R1" [ "B" ] "C");
+      (Session.remove_cfd, C.fd "R2" [ "D" ] "E");
+    ]
 
 let suite =
   [
@@ -720,7 +817,11 @@ let suite =
     ("cover invariant under sigma order", `Quick, test_sigma_order_invariant);
     ("concurrent hammer", `Quick, test_concurrent_hammer);
     ("replicated swap torture", `Quick, test_replicated_swap_torture);
-    ("result cache answers a round trip", `Quick, test_result_cache_round_trip);
+    ( "a round trip recomputes back to the same cover",
+      `Quick,
+      test_round_trip_recomputes );
     ("explain beside recomputes", `Quick, test_explain_beside_recomputes);
+    ("recomputes reuse the other relations' slices", `Quick,
+      test_recompute_reuses_slices);
   ]
   @ List.map QCheck_alcotest.to_alcotest [ prop_walk ]
