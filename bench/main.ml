@@ -571,13 +571,14 @@ let fleet () =
   json_figures := ("fleet", "N", rows) :: !json_figures
 
 (* ---------------------------------------------------------------------- *)
-(* Serve sweep (--serve-qps): request throughput of the resident service
+(* Serve point (--serve-qps): request throughput of the resident service
    on the fig5 |Σ|=2000 workload.  A server is stood up in-process, one
    session opened *through the line protocol* (the doc travels inline,
    exactly as a client would send it), and a scripted request stream —
-   ~88% propagates probes, ~10% cover pulls, ~2% Σ-deltas — is pushed
-   through [Serve.Server.handle_batch] in fixed-size chunks.  The x-axis
-   is the number of pool domains the server batches across.
+   ~88% propagates probes, ~10% cover pulls, ~2% Σ-deltas — is answered
+   line by line through [Serve.Server.handle_line] on one domain, as
+   both [cfdprop serve] front ends answer it.  The figure has one point,
+   x = 1 domain.
 
    The delta script cycles D=4 distinct source CFDs through add → remove
    round-trips (every one on a view relation pays a recompute, whose
@@ -597,11 +598,9 @@ type serve_run = {
   sv_cover : int;  (** initial cover size — the drift-guarded quantity *)
   sv_deltas : int;
   sv_swaps : int;  (** epoch swaps = non-noop deltas the session applied *)
-  sv_replica_reads : int array;
-      (** engine acquisitions per replica slot (round-robin balance) *)
 }
 
-let serve_run_one ~seed ~domains ~var_pct =
+let serve_run_one ~seed ~var_pct =
   let module Parser = Syntax.Parser in
   let rng = Workload.Rng.make seed in
   let schema = Workload.Schema_gen.default rng in
@@ -650,13 +649,7 @@ let serve_run_one ~seed ~domains ~var_pct =
     (* strip the statement form down to the protocol's bare body *)
     String.sub s 4 (String.length s - 5)
   in
-  let pool =
-    if domains > 1 then Some (Parallel.Pool.create ~size:domains ())
-    else None
-  in
-  (* One engine replica per domain: reads rotate over the slots while
-     deltas epoch-swap snapshots off to the side. *)
-  let server = Serve.Server.create ?pool ~replicas:domains () in
+  let server = Serve.Server.create () in
   let opened =
     Serve.Server.handle_line server
       (Printf.sprintf "{\"op\": \"open\", \"session\": \"b\", \"doc\": %s}"
@@ -684,29 +677,16 @@ let serve_run_one ~seed ~domains ~var_pct =
         (jstr (cfd_body (List.nth probes (i mod List.length probes))))
   in
   let lines = List.init !serve_requests request in
-  let rec drop n = function
-    | _ :: rest when n > 0 -> drop (n - 1) rest
-    | l -> l
-  in
-  let rec chunks = function
-    | [] -> []
-    | l -> take 64 l :: chunks (drop 64 l)
-  in
   let t, errors =
     time (fun () ->
         List.fold_left
-          (fun acc batch ->
-            let resps = Serve.Server.handle_batch server batch in
-            acc
-            + List.length
-                (List.filter
-                   (fun r ->
-                     match Serve.Json.parse r with
-                     | Ok o ->
-                       Serve.Json.member "ok" o <> Some (Serve.Json.Bool true)
-                     | Error _ -> true)
-                   resps))
-          0 (chunks lines))
+          (fun acc line ->
+            match Serve.Json.parse (Serve.Server.handle_line server line) with
+            | Ok o when Serve.Json.member "ok" o = Some (Serve.Json.Bool true)
+              ->
+              acc
+            | _ -> acc + 1)
+          0 lines)
   in
   (* Drain this domain's trace ring into the sink once per run: a point's
      six runs together overflow one ring. *)
@@ -745,33 +725,18 @@ let serve_run_one ~seed ~domains ~var_pct =
     (P.Propcover.cover view sigma).P.Propcover.cover |> List.length
   in
   let st = Serve.Session.stats s in
-  Option.iter Parallel.Pool.shutdown pool;
   {
     sv_qps = float_of_int !serve_requests /. t;
     sv_cover = initial_cover;
     sv_deltas = !ndeltas;
     sv_swaps = st.Serve.Session.patches + st.Serve.Session.fallbacks;
-    sv_replica_reads = Serve.Session.replica_reads s;
   }
 
-let serve_point ~domains ~var_pct =
+let serve_point ~var_pct =
   let runs =
     List.map
-      (fun s -> serve_run_one ~seed:(1000 + (7 * s)) ~domains ~var_pct)
+      (fun s -> serve_run_one ~seed:(1000 + (7 * s)) ~var_pct)
       (List.init !seeds Fun.id)
-  in
-  (* Elementwise sum of the per-replica read counts across seed runs
-     (every run at this point uses the same replica count). *)
-  let replica_reads =
-    List.fold_left
-      (fun acc r ->
-        let n = max (Array.length acc) (Array.length r.sv_replica_reads) in
-        Array.init n (fun i ->
-            (if i < Array.length acc then acc.(i) else 0)
-            + if i < Array.length r.sv_replica_reads then
-                r.sv_replica_reads.(i)
-              else 0))
-      [||] runs
   in
   ( {
       (* runtime here is the whole request stream's wall time *)
@@ -782,112 +747,73 @@ let serve_point ~domains ~var_pct =
     },
     mean (List.map (fun r -> r.sv_qps) runs),
     imean (List.map (fun r -> r.sv_deltas) runs),
-    ( imean (List.map (fun r -> r.sv_swaps) runs),
-      replica_reads ) )
+    imean (List.map (fun r -> r.sv_swaps) runs) )
 
 let serve_qps () =
-  let points =
-    match !max_points with
-    | Some n -> take n [ 1; 2; 4; 8 ]
-    | None -> [ 1; 2; 4; 8 ]
-  in
   Fmt.pr
-    "@.== Serve sweep: request throughput, |Sigma|=%d fig5 workload, %d \
-     requests per run ==@."
+    "@.== Serve point: request throughput on one domain, |Sigma|=%d fig5 \
+     workload, %d requests per run ==@."
     !serve_sigma_n !serve_requests;
   Fmt.pr "%-8s %12s %12s %10s %10s@." "domains" "qps40" "qps50" "cover40"
     "cover50";
-  let rows =
-    List.map
-      (fun domains ->
-        if !stats_on || !trace_path <> None then Obs.reset ();
-        (* One duration window per point, over all its runs: the per-op
-           request histograms below come from this point's snapshot.  The
-           observe cost (one bucket increment per request) is in the noise
-           next to a cover pull or a Σ-delta. *)
-        Obs.set_hist_enabled true;
-        let p40, qps40, deltas40, (swaps40, reads40) =
-          serve_point ~domains ~var_pct:40
-        in
-        let p50, qps50, _deltas50, (swaps50, reads50) =
-          serve_point ~domains ~var_pct:50
-        in
-        (match !trace_path with
-         | Some base ->
-           Obs.write_trace (Printf.sprintf "%s.serve.x%d.json" base domains);
-           Obs.write_trace base
-         | None -> ());
-        let snap = Obs.snapshot () in
-        let stats =
-          if !stats_on then begin
-            Obs.reset ();
-            Some snap
-          end
-          else begin
-            Obs.set_hist_enabled false;
-            None
-          end
-        in
-        Fmt.pr "%-8d %12.0f %12.0f %10.1f %10.1f@." domains qps40 qps50
-          p40.cover p50.cover;
-        let ops_json =
-          [ "add_cfd"; "cover"; "propagates"; "remove_cfd" ]
-          |> List.filter_map (fun op ->
-                 List.assoc_opt ("serve.req_us." ^ op) snap.Obs.hists
-                 |> Option.map (fun h ->
-                        Printf.sprintf
-                          "%S: {\"count\": %d, \"p50_us\": %.1f, \
-                           \"p95_us\": %.1f, \"p99_us\": %.1f}"
-                          op h.Obs.h_count
-                          (Obs.hist_quantile h 0.5)
-                          (Obs.hist_quantile h 0.95)
-                          (Obs.hist_quantile h 0.99)))
-          |> String.concat ", "
-        in
-        let jarr a =
-          "["
-          ^ String.concat ", " (List.map string_of_int (Array.to_list a))
-          ^ "]"
-        in
-        let extras =
-          (* Per-replica breakdown: replica_reads is the engine-
-             acquisition count per slot (summed over seed runs and both
-             var% settings), qps_per_replica the aggregate throughput
-             normalised by the slot count — a scaling regression shows
-             up here even when the aggregate hides it. *)
-          Printf.sprintf
-            ", \"serve\": {\"requests\": %d, \"qps40\": %.1f, \"qps50\": \
-             %.1f, \"deltas_per_run\": %.1f, \"replicas\": %d, \
-             \"epoch_swaps_per_run\": %.1f, \"replica_reads\": %s, \
-             \"qps_per_replica40\": %.1f, \"qps_per_replica50\": %.1f, \
-             \"ops\": {%s}}"
-            !serve_requests qps40 qps50 deltas40 domains
-            ((swaps40 +. swaps50) /. 2.)
-            (jarr
-               (Array.init (max (Array.length reads40) (Array.length reads50))
-                  (fun i ->
-                    (if i < Array.length reads40 then reads40.(i) else 0)
-                    + if i < Array.length reads50 then reads50.(i) else 0)))
-            (qps40 /. float_of_int domains)
-            (qps50 /. float_of_int domains)
-            ops_json
-        in
-        (domains, p40, p50, stats, extras))
-      points
+  if !stats_on || !trace_path <> None then Obs.reset ();
+  (* One duration window over all the runs: the per-op request histograms
+     below come from this snapshot.  The observe cost (one bucket
+     increment per request) is in the noise next to a cover pull or a
+     Σ-delta. *)
+  Obs.set_hist_enabled true;
+  let p40, qps40, deltas40, swaps40 = serve_point ~var_pct:40 in
+  let p50, qps50, _deltas50, swaps50 = serve_point ~var_pct:50 in
+  (match !trace_path with
+   | Some base ->
+     Obs.write_trace (base ^ ".serve.x1.json");
+     Obs.write_trace base
+   | None -> ());
+  let snap = Obs.snapshot () in
+  let stats =
+    if !stats_on then begin
+      Obs.reset ();
+      Some snap
+    end
+    else begin
+      Obs.set_hist_enabled false;
+      None
+    end
   in
-  if !stats_on then begin
-    let total =
-      List.fold_left
-        (fun acc (_, _, _, s, _) ->
-          match s with Some s -> Obs.merge acc s | None -> acc)
-        Obs.empty_snapshot rows
-    in
-    figure_stats := ("serve", total) :: !figure_stats;
-    grand_stats := Obs.merge !grand_stats total;
-    Fmt.pr "@.-- serve observability (all points, both var%% settings) --@.%a"
-      Obs.pp total
-  end;
-  json_figures := ("serve", "domains", rows) :: !json_figures
+  Fmt.pr "%-8d %12.0f %12.0f %10.1f %10.1f@." 1 qps40 qps50 p40.cover
+    p50.cover;
+  let ops_json =
+    [ "add_cfd"; "cover"; "propagates"; "remove_cfd" ]
+    |> List.filter_map (fun op ->
+           List.assoc_opt ("serve.req_us." ^ op) snap.Obs.hists
+           |> Option.map (fun h ->
+                  Printf.sprintf
+                    "%S: {\"count\": %d, \"p50_us\": %.1f, \"p95_us\": \
+                     %.1f, \"p99_us\": %.1f}"
+                    op h.Obs.h_count
+                    (Obs.hist_quantile h 0.5)
+                    (Obs.hist_quantile h 0.95)
+                    (Obs.hist_quantile h 0.99)))
+    |> String.concat ", "
+  in
+  let extras =
+    Printf.sprintf
+      ", \"serve\": {\"requests\": %d, \"qps40\": %.1f, \"qps50\": %.1f, \
+       \"deltas_per_run\": %.1f, \"epoch_swaps_per_run\": %.1f, \"ops\": \
+       {%s}}"
+      !serve_requests qps40 qps50 deltas40
+      ((swaps40 +. swaps50) /. 2.)
+      ops_json
+  in
+  Option.iter
+    (fun total ->
+      figure_stats := ("serve", total) :: !figure_stats;
+      grand_stats := Obs.merge !grand_stats total;
+      Fmt.pr "@.-- serve observability (both var%% settings) --@.%a" Obs.pp
+        total)
+    stats;
+  json_figures := ("serve", "domains", [ (1, p40, p50, stats, extras) ])
+                  :: !json_figures
 
 (* ---------------------------------------------------------------------- *)
 (* Tables 1 and 2: one decision-procedure demonstration per decidable      *)

@@ -566,8 +566,15 @@ let audit_cmd =
 (* serve: resident (view, Σ) sessions behind the line-JSON protocol
    (lib/serve), over stdin/stdout or a loopback TCP socket. *)
 
-let serve once tcp_port domains replicas max_line stats stats_json
-    metrics_port access_log slow_ms =
+let serve once tcp_port domains max_line stats stats_json metrics_port
+    access_log slow_ms =
+  if once && tcp_port <> None then begin
+    Fmt.epr
+      "cfdprop serve: --once and --tcp cannot be combined: --once stops at \
+       the end of stdin, and a TCP listener has none.@.Usage: cfdprop serve \
+       --once < TRANSCRIPT, or cfdprop serve --tcp PORT@.";
+    exit 2
+  end;
   (* A metrics endpoint without data is useless: --metrics-port records
      what --stats does (durations for percentiles, counters for the
      *_total families). *)
@@ -586,13 +593,8 @@ let serve once tcp_port domains replicas max_line stats stats_json
       (open_out_gen [ Open_wronly; Open_append; Open_creat ] 0o644)
       access_log
   in
-  (* Engine slots per session: default one per worker domain (so a
-     saturating batch never queues on one compiled engine), overridable
-     with --replicas. *)
-  let replicas = if replicas <= 0 then max 1 domains else replicas in
   let server =
-    Serve.Server.create ?pool ~replicas ~max_line ?access_log:log_oc ?slow_ms
-      ()
+    Serve.Server.create ?pool ~max_line ?access_log:log_oc ?slow_ms ()
   in
   let metrics_stop = Atomic.make false in
   let metrics_domain =
@@ -636,7 +638,8 @@ let serve_cmd =
       & info [ "once" ]
           ~doc:
             "Process stdin to EOF and exit; nonzero status if any request \
-             produced an error response (CI transcript smoke).")
+             produced an error response (CI transcript smoke).  Cannot be \
+             combined with --tcp.")
   in
   let tcp_port =
     Arg.(
@@ -652,19 +655,10 @@ let serve_cmd =
       value
       & opt int 1
       & info [ "domains" ] ~docv:"N"
-          ~doc:"Answer batched requests over a pool of $(docv) worker domains.")
-  in
-  let replicas =
-    Arg.(
-      value
-      & opt int 0
-      & info [ "replicas" ] ~docv:"N"
           ~doc:
-            "Compile $(docv) query-engine replicas per session: reads \
-             rotate round-robin over them lock-free while Σ-deltas build \
-             the next epoch snapshot off to the side and swap it in \
-             atomically.  Defaults to --domains, so a saturating batch \
-             never queues on one engine.")
+            "Hand a pool of $(docv) worker domains to every session's cover \
+             runs, where RBR's partitioned prune uses it.  Requests are \
+             answered one at a time on the main domain.")
   in
   let max_line =
     Arg.(
@@ -723,7 +717,7 @@ let serve_cmd =
           add_cfd/remove_cfd patch Σ in place when the delta's relation \
           feeds no view atom and recompute the cover otherwise.")
     Term.(
-      const serve $ once $ tcp_port $ domains $ replicas $ max_line $ stats
+      const serve $ once $ tcp_port $ domains $ max_line $ stats
       $ stats_json_arg $ metrics_port $ access_log $ slow_ms)
 
 let () =

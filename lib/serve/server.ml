@@ -4,7 +4,6 @@ module Spc = Relational.Spc
 
 let c_requests = Obs.counter "serve.requests"
 let c_errors = Obs.counter "serve.errors"
-let c_batches = Obs.counter "serve.batches"
 let c_opened = Obs.counter "serve.sessions_opened"
 let c_closed = Obs.counter "serve.sessions_closed"
 let h_req = Obs.histogram "serve.req_us"
@@ -25,11 +24,13 @@ let op_telemetry name =
 
 type t = {
   memo : Propagation.Memo.t;
-  pool : Parallel.Pool.t option;
-  replicas : int;  (* engine slots per session *)
+  pool : Parallel.Pool.t option;  (* handed to every session's cover runs *)
   max_line : int;
   access_log : out_channel option;
-  log_lock : Mutex.t;  (* serialises access-log lines under handle_batch *)
+  (* [handle_line] stays safe to call from several domains: [log_lock]
+     keeps their access-log lines whole, and [lock] guards the session
+     table. *)
+  log_lock : Mutex.t;
   slow_us : float option;
   lock : Mutex.t;  (* guards tbl/order/next_id (session opens/reuse) *)
   tbl : (string, Session.t) Hashtbl.t;
@@ -43,20 +44,11 @@ type t = {
   errors : int Atomic.t;
 }
 
-let create ?pool ?replicas
-    ?(max_line = Protocol.default_max_len) ?access_log ?slow_ms () =
-  let replicas =
-    match replicas with
-    | Some n -> max 1 n
-    | None -> (
-      (* Default: one engine slot per worker domain, so a saturating
-         [handle_batch] never queues on a slot. *)
-      match pool with Some p -> Parallel.Pool.size p | None -> 1)
-  in
+let create ?pool ?replicas:_ ?(max_line = Protocol.default_max_len)
+    ?access_log ?slow_ms () =
   {
     memo = Propagation.Memo.create ();
     pool;
-    replicas;
     max_line;
     access_log;
     log_lock = Mutex.create ();
@@ -71,7 +63,6 @@ let create ?pool ?replicas
   }
 
 let memo t = t.memo
-let replicas t = t.replicas
 
 let with_lock t f =
   Mutex.lock t.lock;
@@ -176,8 +167,7 @@ let do_open t ~session ~doc ~view =
           Ok name)
   in
   match
-    Session.create ?pool:t.pool ~replicas:t.replicas
-      ~memo:t.memo ~name ~view ~sigma ()
+    Session.create ?pool:t.pool ~memo:t.memo ~name ~view ~sigma ()
   with
   | Error _ as e ->
     with_lock t (fun () ->
@@ -226,7 +216,6 @@ let stats_fields t =
           ("recomputes", jnum st.Session.recomputes);
           ("noops", jnum st.Session.noops);
           ("epoch", jnum st.Session.epoch);
-          ("replicas", jnum st.Session.replicas);
           ("closed", Json.Bool (Session.closed s));
         ] )
   in
@@ -246,11 +235,8 @@ let gauges t =
   let sessions = sessions t in
   let open_sessions = List.filter (fun s -> not (Session.closed s)) sessions in
   let g name value = { Metrics.g_name = name; g_label = None; g_value = value } in
-  [
-    g "serve.sessions" (float_of_int (List.length open_sessions));
-    g "serve.replicas" (float_of_int t.replicas);
-  ]
-  @ List.map
+  g "serve.sessions" (float_of_int (List.length open_sessions))
+  :: List.map
       (fun s ->
         {
           Metrics.g_name = "serve.session_epoch";
@@ -448,10 +434,6 @@ let handle_line_counted t line =
   end
 
 let handle_line t line = fst (handle_line_counted t line)
-
-let handle_batch t lines =
-  Obs.incr c_batches;
-  Parallel.Pool.map ?pool:t.pool (handle_line t) lines
 
 (* ------------------------------------------------------------------ *)
 (* Front ends *)

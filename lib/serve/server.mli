@@ -1,6 +1,6 @@
 (** The serve front end: a named-session store plus the line-protocol
     dispatch loop, shared by [cfdprop serve] (stdin/stdout or TCP) and
-    the [--serve-qps] bench driver (which calls {!handle_batch}
+    the [--serve-qps] bench driver (which calls {!handle_line}
     directly).
 
     One server owns one shared {!Propagation.Memo}: sessions on the same
@@ -8,24 +8,25 @@
     {e and} across sessions.  Session opens go
     through a table mutex, but the request path is lock-free at the
     server tier: session lookup reads an atomic mirror of the table, and
-    the request/error totals are atomics.  Per-session concurrency is
-    the session's own affair — epoch-swapped snapshots with [replicas]
-    engine slots (see {!Session}). *)
+    the request/error totals are atomics, so {!handle_line} is safe to
+    call from several domains.  Per-session concurrency is the session's
+    own affair — epoch-swapped snapshots with one compiled engine each
+    (see {!Session}). *)
 
 type t
 
-(** [create ()] — [pool] batches concurrent requests across domains in
-    {!handle_batch}; [replicas] fixes each session's engine-slot count
-    (floored to 1; default: the pool's worker count, or 1 without a
-    pool), so a saturating batch never queues on one compiled engine;
-    [max_line] caps accepted request lines (default
-    {!Protocol.default_max_len}).
+(** [create ()] — [pool] is handed to every session's cover runs, where
+    RBR's partitioned prune uses it ({!Propagation.Propcover.options});
+    requests themselves run on the calling domain.  [replicas] is
+    ignored: every session holds one compiled engine.  The label remains
+    because [perfbench/tool/pbtool.ml] passes it.  [max_line] caps
+    accepted request lines (default {!Protocol.default_max_len}).
 
     [access_log] turns on the structured access log: one JSON object per
     handled request ([ts], [id], [session], [op], [epoch], [plan],
     [latency_us], [ok]/[error], and [slow] when over threshold), written
-    and flushed under an internal lock (so {!handle_batch} interleaves
-    whole lines).  [slow_ms] sets the slow-request threshold: a request
+    and flushed under an internal lock (so callers on several domains
+    interleave whole lines).  [slow_ms] sets the slow-request threshold: a request
     at or over it is marked [slow] in the log and emits a [serve.slow]
     trace instant (visible whenever the trace recorder is on).
 
@@ -42,9 +43,6 @@ val create :
   t
 
 val memo : t -> Propagation.Memo.t
-
-(** Engine slots each session is created with. *)
-val replicas : t -> int
 
 (** [prometheus t] — the Prometheus text exposition of the current
     {!Obs.snapshot} plus the server gauges (resident sessions,
@@ -63,10 +61,6 @@ val find_session : t -> string -> Session.t option
     Blank lines and [#]-comment lines (scripted transcripts) return [""]
     — callers skip empty responses. *)
 val handle_line : t -> string -> string
-
-(** [handle_batch t lines] — {!handle_line} over the server's pool
-    (order-preserving), one response per request line. *)
-val handle_batch : t -> string list -> string list
 
 (** [run_channels t ic oc] — the stdio loop: read a line, answer, flush,
     until EOF.  Returns the number of error responses produced, from

@@ -8,7 +8,9 @@ module Provenance = Propagation.Provenance
 let c_patches = Obs.counter "serve.delta_patches"
 let c_fallbacks = Obs.counter "serve.fallbacks"
 let c_queries = Obs.counter "serve.queries"
-let c_replica_reads = Obs.counter "serve.replica_reads"
+(* Queries that reach the compiled engine; the name is kept from the
+   replica slots the one engine replaced. *)
+let c_engine_reads = Obs.counter "serve.replica_reads"
 let c_epoch_swaps = Obs.counter "serve.epoch_swaps"
 let s_recompute = Obs.histogram "serve.recompute"
 let s_delta = Obs.histogram "serve.delta"
@@ -43,27 +45,26 @@ type stats = {
   recomputes : int;
   noops : int;
   epoch : int;
-  replicas : int;
 }
 
-(* One query replica: a compiled engine behind its own mutex.  A
-   [Fast_impl.compiled] owns mutable chase scratch and must be confined
-   to one domain at a time; N slots let N domains chase concurrently
-   against the same snapshot's cover. *)
-type slot = { slot_lock : Mutex.t; slot_compiled : Fast_impl.compiled }
+(* The compiled query engine of one cover.  A [Fast_impl.compiled] owns
+   mutable chase scratch, so [lock] confines it to one domain at a
+   time. *)
+type engine = { lock : Mutex.t; compiled : Fast_impl.compiled }
 
 (* Everything a reader needs, frozen at one epoch.  A snapshot is
-   immutable after construction (the [slot_compiled] scratch mutates
-   under [slot_lock], but never in a way observable through [implies];
+   immutable after construction (the engine's scratch mutates under its
+   lock, but never in a way observable through [implies];
    [snap_attribution] is a monotone lazy cell) — so a single [Atomic.get]
-   yields a coherent (epoch, Σ, cover, digest, engines) tuple and readers
-   can never observe a torn or mixed-epoch state. *)
+   yields a coherent (epoch, Σ, cover, digest, engine) tuple and readers
+   can never observe a torn or mixed-epoch state.  Snapshots whose covers
+   have the same bytes share one engine. *)
 type snapshot = {
   snap_epoch : int;
   snap_sigma : C.t list;
   snap_result : Propcover.result;
   snap_cover_digest : string;
-  snap_slots : slot array;
+  snap_engine : engine;
   snap_attribution : (C.t * C.t list) list option Atomic.t;
 }
 
@@ -76,9 +77,6 @@ type t = {
   vdigest : string;  (* Propcover.instance_digest of (options, view) *)
   options : Propcover.options;
   atom_bases : string list;
-  replicas : int;
-  rr : int Atomic.t;  (* round-robin cursor over the slots *)
-  slot_reads : int Atomic.t array;  (* per-replica engine acquisitions *)
   snap : snapshot Atomic.t;
   writer : Mutex.t;  (* serialises deltas; readers never take it *)
   is_closed : bool Atomic.t;
@@ -122,7 +120,7 @@ let remove_sorted c sigma =
   go [] sigma
 
 let cfds_equal a b =
-  List.length a = List.length b && List.for_all2 C.equal a b
+  a == b || (List.length a = List.length b && List.for_all2 C.equal a b)
 
 let namespace db = Memo.digest_string (Memo.schema_string db)
 
@@ -136,15 +134,29 @@ let fresh_options t = { t.options with Propcover.memo = None }
 let recompute ~options view sigma =
   Obs.with_span s_recompute @@ fun () -> Propcover.cover ~options view sigma
 
-(* One freshly compiled engine per replica.  Patched-tier deltas reuse
-   the previous snapshot's slots (the cover is unchanged); only
-   Recomputed-tier deltas pay this. *)
-let compile_slots ~replicas view cover =
-  Array.init replicas (fun _ ->
-      {
-        slot_lock = Mutex.create ();
-        slot_compiled = Fast_impl.compile (Spc.view_schema view) cover;
-      })
+(* The snapshot at [epoch] for Σ = [sigma] and the pipeline's [result].
+   [reuse] is the previous snapshot when its cover has the same bytes as
+   [result]'s — every patched delta and most recomputes: its engine and
+   digest carry over, so nothing is compiled.  Attribution maps cover
+   members to Σ axioms, and Σ is new, so the lazy cell starts empty. *)
+let make_snapshot ?reuse vschema ~epoch sigma result =
+  let digest, engine =
+    match reuse with
+    | Some prev -> (prev.snap_cover_digest, prev.snap_engine)
+    | None ->
+      let cover = result.Propcover.cover in
+      ( Memo.digest_cfds cover,
+        { lock = Mutex.create (); compiled = Fast_impl.compile vschema cover }
+      )
+  in
+  {
+    snap_epoch = epoch;
+    snap_sigma = sigma;
+    snap_result = result;
+    snap_cover_digest = digest;
+    snap_engine = engine;
+    snap_attribution = Atomic.make None;
+  }
 
 let snapshot t = Atomic.get t.snap
 let epoch t = (snapshot t).snap_epoch
@@ -152,8 +164,6 @@ let sigma t = (snapshot t).snap_sigma
 let cover t = (snapshot t).snap_result
 let closed t = Atomic.get t.is_closed
 let close t = Atomic.set t.is_closed true
-let replicas t = t.replicas
-let replica_reads t = Array.map Atomic.get t.slot_reads
 
 let stats t =
   let fallbacks = Atomic.get t.st_fallbacks in
@@ -164,22 +174,14 @@ let stats t =
     recomputes = fallbacks + 1;
     noops = Atomic.get t.st_noops;
     epoch = epoch t;
-    replicas = t.replicas;
   }
 
-(* Acquire one replica engine of [snap] round-robin and run [f] on it.
-   The cursor is a plain fetch-and-add — perfect rotation under
-   contention matters less than staying lock-free. *)
-let with_slot t (snap : snapshot) f =
-  let n = Array.length snap.snap_slots in
-  let i = if n = 1 then 0 else Atomic.fetch_and_add t.rr 1 land max_int mod n in
-  Atomic.incr t.slot_reads.(i);
-  Obs.incr c_replica_reads;
-  let s = snap.snap_slots.(i) in
-  Mutex.lock s.slot_lock;
-  Fun.protect
-    (fun () -> f s.slot_compiled)
-    ~finally:(fun () -> Mutex.unlock s.slot_lock)
+(* Run [f] on [snap]'s compiled engine, under its lock. *)
+let with_engine (snap : snapshot) f =
+  Obs.incr c_engine_reads;
+  let e = snap.snap_engine in
+  Mutex.lock e.lock;
+  Fun.protect (fun () -> f e.compiled) ~finally:(fun () -> Mutex.unlock e.lock)
 
 (* A Σ member must be a CFD on some source relation, over its
    attributes. *)
@@ -188,7 +190,7 @@ let check_source (view : Spc.t) c =
     C.check (Schema.find view.Spc.source c.C.rel) c
   else Error (Printf.sprintf "CFD on unknown source relation %s" c.C.rel)
 
-let create ?pool ?(replicas = 1) ~memo ~name ~view ~sigma () =
+let create ?pool ~memo ~name ~view ~sigma () =
   match
     List.find_map
       (fun c ->
@@ -197,37 +199,24 @@ let create ?pool ?(replicas = 1) ~memo ~name ~view ~sigma () =
   with
   | Some m -> Error m
   | None ->
-    let replicas = max 1 replicas in
     let sigma = normalize_sigma sigma in
     let ns = namespace view.Spc.source in
     let options =
       { Propcover.default_options with Propcover.pool; memo = Some (memo, ns) }
     in
+    let vschema = Spc.view_schema view in
     let result = recompute ~options view sigma in
-    let snap0 =
-      {
-        snap_epoch = 0;
-        snap_sigma = sigma;
-        snap_result = result;
-        snap_cover_digest = Memo.digest_cfds result.Propcover.cover;
-        snap_slots = compile_slots ~replicas view result.Propcover.cover;
-        snap_attribution = Atomic.make None;
-      }
-    in
     Ok
       {
         name;
         view;
-        vschema = Spc.view_schema view;
+        vschema;
         memo;
         ns;
         vdigest = Propcover.instance_digest options view;
         options;
         atom_bases = Spc.bases view;
-        replicas;
-        rr = Atomic.make 0;
-        slot_reads = Array.init replicas (fun _ -> Atomic.make 0);
-        snap = Atomic.make snap0;
+        snap = Atomic.make (make_snapshot vschema ~epoch:0 sigma result);
         writer = Mutex.create ();
         is_closed = Atomic.make false;
         st_queries = Atomic.make 0;
@@ -267,7 +256,7 @@ let ( let* ) = Result.bind
 
 (* Memoised per (instance, cover, φ): verdicts survive every
    cover-neutral delta because the key digests the cover itself.  The
-   memo probe is lock-free; only a miss acquires a replica engine. *)
+   memo probe is lock-free; only a miss takes the engine's lock. *)
 let verdict t (snap : snapshot) phi =
   if snap.snap_result.Propcover.always_empty then true
   else
@@ -278,10 +267,10 @@ let verdict t (snap : snapshot) phi =
     match
       Memo.find_or_compute t.memo key (fun () ->
           Memo.Verdict
-            (with_slot t snap (fun compiled -> Fast_impl.implies compiled phi)))
+            (with_engine snap (fun compiled -> Fast_impl.implies compiled phi)))
     with
     | Memo.Verdict v, _ -> v
-    | _ -> with_slot t snap (fun compiled -> Fast_impl.implies compiled phi)
+    | _ -> with_engine snap (fun compiled -> Fast_impl.implies compiled phi)
 
 let propagates t phi =
   ensure_open t @@ fun () ->
@@ -310,7 +299,7 @@ let explain t phi =
   else begin
     let phi = C.canonical phi in
     let fired_opt =
-      with_slot t snap (fun compiled ->
+      with_engine snap (fun compiled ->
           let fired = Bytes.make (Fast_impl.num_rules compiled) '\000' in
           if Fast_impl.implies ~fired compiled phi then Some fired else None)
     in
@@ -396,49 +385,19 @@ let apply_delta_locked t dop c =
           stale = Some [];
         }
     | Some sigma' ->
-      let swap snap' =
-        Atomic.set t.snap snap';
-        Obs.incr c_epoch_swaps
-      in
-      if not (List.mem c.C.rel t.atom_bases) then begin
-        (* Tier A: the relation feeds no view atom, so [Propcover] drops
-           every CFD of it before line 1 — the pipeline input is
-           untouched.  The cover is unchanged, so the previous snapshot's
-           compiled slots carry over verbatim.  Attribution maps cover
-           members to axioms; a patched delta leaves the cover intact but
-           can change which axioms exist, so the new snapshot starts with
-           an empty lazy cell. *)
-        let snap' =
-          {
-            snap with
-            snap_epoch = snap.snap_epoch + 1;
-            snap_sigma = sigma';
-            snap_attribution = Atomic.make None;
-          }
-        in
-        swap snap';
-        Atomic.incr t.st_patches;
-        Obs.incr c_patches;
-        Ok
-          {
-            plan = Patched;
-            epoch = snap'.snap_epoch;
-            cover_size = List.length snap.snap_result.Propcover.cover;
-            changed = false;
-            added = [];
-            removed = [];
-            stale = Some [];
-          }
-      end
-      else begin
-        (* Recompute: the pipeline a fresh [Propcover.cover] runs, whose
-           line 1 reuses the untouched relations' slices through the
-           memo.  Attribution (when already materialised) narrows the
-           report of which members a removal touched; it can never
-           license skipping the recompute — minimal covers are not
-           monotone under axiom deletion. *)
-        let old_cover = snap.snap_result.Propcover.cover in
-        let stale =
+      (* Tier A (patched): the relation feeds no view atom, so
+         [Propcover] drops every CFD of it before line 1 — the pipeline
+         input, and so the cover, is untouched.  Every other delta
+         recomputes: the pipeline a fresh [Propcover.cover] runs, whose
+         line 1 reuses the untouched relations' slices through the memo.
+         Attribution (when already materialised) narrows the report of
+         which members a removal touched; it can never license skipping
+         the recompute — minimal covers are not monotone under axiom
+         deletion.  No cover member derives from a patched axiom. *)
+      let patched = not (List.mem c.C.rel t.atom_bases) in
+      let stale =
+        if patched then Some []
+        else
           match Atomic.get snap.snap_attribution, dop with
           | Some attr, `Remove ->
             Some
@@ -448,35 +407,42 @@ let apply_delta_locked t dop c =
                  attr)
           | Some _, `Add -> Some []
           | None, _ -> None
-        in
-        let result = recompute ~options:t.options t.view sigma' in
-        let snap' =
-          {
-            snap_epoch = snap.snap_epoch + 1;
-            snap_sigma = sigma';
-            snap_result = result;
-            snap_cover_digest = Memo.digest_cfds result.Propcover.cover;
-            snap_slots =
-              compile_slots ~replicas:t.replicas t.view result.Propcover.cover;
-            snap_attribution = Atomic.make None;
-          }
-        in
-        swap snap';
-        Atomic.incr t.st_fallbacks;
-        Obs.incr c_fallbacks;
-        let new_cover = result.Propcover.cover in
-        let added, removed = diff_covers old_cover new_cover in
-        Ok
-          {
-            plan = Recomputed;
-            epoch = snap'.snap_epoch;
-            cover_size = List.length new_cover;
-            changed = not (cfds_equal old_cover new_cover);
-            added;
-            removed;
-            stale;
-          }
+      in
+      let result =
+        if patched then snap.snap_result
+        else recompute ~options:t.options t.view sigma'
+      in
+      let old_cover = snap.snap_result.Propcover.cover in
+      let new_cover = result.Propcover.cover in
+      let changed = not (cfds_equal old_cover new_cover) in
+      let snap' =
+        make_snapshot
+          ?reuse:(if changed then None else Some snap)
+          t.vschema ~epoch:(snap.snap_epoch + 1) sigma' result
+      in
+      Atomic.set t.snap snap';
+      Obs.incr c_epoch_swaps;
+      if patched then begin
+        Atomic.incr t.st_patches;
+        Obs.incr c_patches
       end
+      else begin
+        Atomic.incr t.st_fallbacks;
+        Obs.incr c_fallbacks
+      end;
+      let added, removed =
+        if changed then diff_covers old_cover new_cover else ([], [])
+      in
+      Ok
+        {
+          plan = (if patched then Patched else Recomputed);
+          epoch = snap'.snap_epoch;
+          cover_size = List.length new_cover;
+          changed;
+          added;
+          removed;
+          stale;
+        }
 
 (* Per-tier latency: the plan is only known once the delta resolves, so
    time the whole application and file it under the tier it took. *)

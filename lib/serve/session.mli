@@ -1,24 +1,31 @@
 (** One resident (view, Σ) propagation session: the compiled state a
     [cfdprop serve] daemon keeps warm across requests — the current
-    minimal propagation cover, {!Propagation.Fast_impl} engines compiled
-    from it for [propagates?] queries, and (lazily) the provenance
-    attribution of each cover member.
+    minimal propagation cover, the {!Propagation.Fast_impl} engine
+    compiled from it for [propagates?] queries, and (lazily) the
+    provenance attribution of each cover member.
 
-    {2 State ownership: epoch-swapped snapshots behind replica slots}
+    {2 State ownership: epoch-swapped snapshots, one engine each}
 
     The session is a thin coordinator over {e immutable epoch-stamped
     snapshots}.  A snapshot freezes everything a reader needs — Σ, the
-    cover with its digest, and an array of [replicas] compiled engines —
-    and is published through one [Atomic] cell.  Reads
+    cover with its digest, and one compiled engine — and is published
+    through one [Atomic] cell.  Reads
     ([epoch]/[sigma]/[cover]/[propagates]/[explain]) are lock-free at
     the session level: one [Atomic.get] yields a coherent
     tuple, so a reader can never observe a torn or mixed-epoch state,
     and sequential reads observe monotonically non-decreasing epochs.
-    The only locks a read can touch are a replica slot's (each compiled
-    engine owns mutable chase scratch confined to one domain at a time;
-    queries rotate round-robin over the slots, counted
-    [serve.replica_reads]) and the memo's stripe — both sharded, neither
-    shared with deltas.
+
+    The only locks a read can touch are the engine's mutex and the
+    memo's stripe; deltas take neither.  The engine's mutex guards its
+    chase scratch: a compiled engine mutates scratch on every chase, so
+    one domain at a time may run it.  A [propagates] takes the mutex
+    only when the verdict memo misses, and an [explain] for its one
+    chase; each acquisition is counted [serve.replica_reads] (a name
+    kept from the replica slots this engine replaced).  Readers on
+    several domains therefore chase one after another, never at once;
+    both shipped front ends answer one request at a time anyway.
+    Snapshots whose covers have the same bytes share one engine, and
+    so one mutex.
 
     Deltas ([add_cfd]/[remove_cfd]) serialise on a writer mutex, build
     the next snapshot off to the side, and atomically swap it in as an
@@ -41,12 +48,14 @@
       is not a base of any view atom ({!Relational.Spc.bases}):
       {!Propagation.Propcover} drops its CFDs before line 1, so the
       pipeline input is untouched.  The next snapshot shares the cover,
-      digest, and compiled slots with the old one; only Σ changes.
+      digest, and compiled engine with the old one; only Σ changes.
     - {b Recomputed} (counted [serve.fallbacks]): every other delta runs
       the pipeline a fresh [Propcover.cover] runs, so the cover is
       byte-identical by construction.  Line 1 reuses the slices of the
-      untouched relations through the memo.  [replicas] fresh engines
-      are compiled for the new cover.  Minimal covers are not monotone
+      untouched relations through the memo.  When the new cover's bytes
+      equal the old one's, the next snapshot shares the old engine and
+      digest, as a patched delta does; otherwise one fresh engine is
+      compiled for the new cover.  Minimal covers are not monotone
       under axiom deletion, so provenance attribution can never justify
       skipping the recompute; it only narrows the {e report} of which
       members were touched.
@@ -89,7 +98,6 @@ type stats = {
           delta *)
   noops : int;
   epoch : int;
-  replicas : int;  (** size of the replica slot array (fixed at create) *)
 }
 
 (** [normalize_sigma l] is the session's canonical Σ form — each CFD
@@ -98,14 +106,14 @@ type stats = {
 val normalize_sigma : Cfds.Cfd.t list -> Cfds.Cfd.t list
 
 (** [create ~memo ~name ~view ~sigma ()] computes the initial cover
-    (epoch 0) and compiles [replicas]
-    (default 1, floored to 1) query engines.  [memo] may be shared with
+    (epoch 0) and compiles its query engine.  [pool] is handed to every
+    cover run of the session, where RBR's partitioned prune uses it
+    ({!Propagation.Propcover.options}).  [memo] may be shared with
     other sessions — keys are namespaced by a digest of the schema.
     Errors on a CFD that is not over a source relation's attributes
     ({!Cfds.Cfd.check}). *)
 val create :
   ?pool:Parallel.Pool.t ->
-  ?replicas:int ->
   memo:Propagation.Memo.t ->
   name:string ->
   view:Spc.t ->
@@ -134,18 +142,10 @@ val cover : t -> Propagation.Propcover.result
 
 val stats : t -> stats
 
-(** Number of replica engine slots. *)
-val replicas : t -> int
-
-(** Cumulative engine acquisitions per replica slot, index-aligned with
-    the slot array — the bench's per-replica breakdown.  Counts persist
-    across epoch swaps (slots are renewed, the counters are not). *)
-val replica_reads : t -> int array
-
-(** [propagates t phi] — [Σ |=_V φ], answered from one replica's
+(** [propagates t phi] — [Σ |=_V φ], answered from the snapshot's
     compiled engine (memoised per (instance, cover, φ), so verdicts
-    survive cover-neutral deltas and the memo probe itself is replica-
-    free).  Returns the verdict and the epoch of the snapshot it was
+    survive cover-neutral deltas and the memo probe itself takes no
+    lock).  Returns the verdict and the epoch of the snapshot it was
     answered from.  Errors when [phi] is not a CFD over the view. *)
 val propagates : t -> Cfds.Cfd.t -> (bool * int, string) result
 

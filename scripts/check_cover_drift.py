@@ -40,10 +40,10 @@ packed-vs-reference kernel comparison), which the cover comparison
 ignores.
 
 When the smoke dump carries a serve figure (any point with a "serve"
-object), the replicated-session counters serve.replica_reads and
-serve.epoch_swaps join the mandatory set automatically — a zero on
-either means the replica slots or the epoch-swap path silently stopped
-running.
+object), the session counters serve.replica_reads (acquisitions of a
+snapshot's compiled engine) and serve.epoch_swaps join the mandatory
+set automatically — a zero on either means queries stopped reaching the
+engine or the epoch-swap path silently stopped running.
 
 --extra-counters NAME[,NAME...] appends counters to the mandatory set —
 the fleet smoke requires memo.hits/memo.misses/memo.inserts/fleet.views
@@ -89,11 +89,11 @@ MANDATORY_COUNTERS = (
     "fast_impl.goal_stops",
 )
 
-# Required in addition whenever the smoke dump carries a serve figure
-# (the replicated-session refactor): a zero serve.replica_reads means
-# queries stopped going through the replica slots, and a zero
-# serve.epoch_swaps means the delta stream stopped publishing new
-# snapshots.
+# Required in addition whenever the smoke dump carries a serve figure: a
+# zero serve.replica_reads (engine acquisitions: verdict-memo misses and
+# explains) means queries stopped reaching the snapshot's compiled
+# engine, and a zero serve.epoch_swaps means the delta stream stopped
+# publishing new snapshots.
 SERVE_MANDATORY_COUNTERS = (
     "serve.replica_reads",
     "serve.epoch_swaps",

@@ -1,19 +1,20 @@
 #!/usr/bin/env python3
 """Live serve-telemetry smoke.
 
-Boots `cfdprop serve --tcp 0 --metrics-port 0 --replicas 2 --access-log
-... --slow-ms 0` (port 0 = kernel-assigned, parsed back from the
-announce lines on stderr), drives a short scripted session over TCP —
-ping, open, cover, propagates, a Σ-delta, stats, metrics — and then
-checks every telemetry surface the flags turn on:
+First checks that `cfdprop serve --tcp 0 --once` is refused at startup
+with exit status 2 (--once stops at the end of stdin, and a TCP
+listener has none).  Then boots `cfdprop serve --tcp 0 --metrics-port 0
+--access-log ... --slow-ms 0` (port 0 = kernel-assigned, parsed back
+from the announce lines on stderr), drives a short scripted session
+over TCP — ping, open, cover, propagates, a Σ-delta, stats, metrics —
+and then checks every telemetry surface the flags turn on:
 
   * the `stats` op reports trace_dropped, memo_entries, and the
-    per-session epoch (1 after the single add_cfd) and replica-slot
-    count (2, from --replicas 2);
+    per-session epoch (1 after the single add_cfd);
   * the `metrics` op returns the JSON twin of the exposition: request
-    histograms for each driven op plus the server gauges, including the
-    serve.replicas gauge and the serve.epoch_swaps /
-    serve.replica_reads counters from the epoch-swap refactor;
+    histograms for each driven op plus the server gauges, and the
+    serve.epoch_swaps counter and the serve.replica_reads counter
+    (engine acquisitions: the propagates op's verdict-memo miss);
   * GET /metrics answers 200 with a text body (written to METRICS_OUT
     for scripts/check_metrics.py) — scraped *before* the `metrics` op so
     it proves the cross-domain shard merge, not a flush side effect of
@@ -69,9 +70,19 @@ def main():
     except FileNotFoundError:
         log_start = 0
 
+    try:
+        once = subprocess.run(
+            [binary, "serve", "--tcp", "0", "--once"], stdin=subprocess.DEVNULL,
+            capture_output=True, text=True, timeout=30)
+    except subprocess.TimeoutExpired:
+        fail("serve --tcp 0 --once did not exit")
+    if once.returncode != 2:
+        fail(f"serve --tcp 0 --once: expected exit status 2, got "
+             f"{once.returncode} (stderr: {once.stderr!r})")
+
     proc = subprocess.Popen(
         [binary, "serve", "--tcp", "0", "--metrics-port", "0",
-         "--replicas", "2", "--access-log", access_out, "--slow-ms", "0"],
+         "--access-log", access_out, "--slow-ms", "0"],
         stderr=subprocess.PIPE, text=True)
     try:
         tcp_port = metrics_port = None
@@ -144,9 +155,6 @@ def main():
         epoch = stats.get("sessions", {}).get("s", {}).get("epoch")
         if epoch != 1:
             fail(f"session epoch after one delta: expected 1, got {epoch!r}")
-        replicas = stats.get("sessions", {}).get("s", {}).get("replicas")
-        if replicas != 2:
-            fail(f"session replicas under --replicas 2: got {replicas!r}")
 
         # -- metrics op (JSON twin) ---------------------------------------
         hists = metrics.get("hists")
@@ -168,8 +176,6 @@ def main():
             fail(f"serve.session_epoch gauge: {gauges}")
         if "serve.memo_entries" not in gauges or "serve.trace_dropped" not in gauges:
             fail(f"missing gauges: {sorted(gauges)}")
-        if gauges.get("serve.replicas") != 2:
-            fail(f"serve.replicas gauge under --replicas 2: {gauges}")
         counters = metrics.get("counters")
         if not isinstance(counters, dict):
             fail(f"metrics op lacks counters: {sorted(metrics)}")
