@@ -15,17 +15,17 @@
     tuple, so a reader can never observe a torn or mixed-epoch state,
     and sequential reads observe monotonically non-decreasing epochs.
 
-    The only locks a read can touch are the engine's mutex and the
-    memo's stripe; deltas take neither.  The engine's mutex guards its
-    chase scratch: a compiled engine mutates scratch on every chase, so
-    one domain at a time may run it.  A [propagates] takes the mutex
-    only when the verdict memo misses, and an [explain] for its one
-    chase; each acquisition is counted [serve.replica_reads] (a name
-    kept from the replica slots this engine replaced).  Readers on
-    several domains therefore chase one after another, never at once;
-    both shipped front ends answer one request at a time anyway.
-    Snapshots whose covers have the same bytes share one engine, and
-    so one mutex.
+    The only locks a read can touch are the engine's mutex and, for a
+    lookup, one memo stripe's; deltas never take the engine's mutex.
+    That mutex guards the engine's chase scratch: a compiled engine
+    mutates scratch on every chase, so one domain at a time may run it.
+    A [propagates] takes the mutex only when the verdict memo misses,
+    and an [explain] for its one chase; each acquisition is counted
+    [serve.replica_reads] (a name kept from the replica slots this
+    engine replaced).  Readers on several domains therefore chase one
+    after another, never at once; both shipped front ends answer one
+    request at a time anyway.  Snapshots whose covers have the same
+    bytes share one engine, and so one mutex.
 
     Deltas ([add_cfd]/[remove_cfd]) serialise on a writer mutex, build
     the next snapshot off to the side, and atomically swap it in as an
